@@ -11,15 +11,20 @@
 //!
 //! The sharded engine splits a phase into independent *shards*. Each
 //! shard ([`PhasePe`]) owns its node's entire state — caches, write
-//! buffer, DRAM timing, clock, prefetch queue — plus *private snapshots*
-//! of every other node's DRAM timing, shell occupancy and
-//! fetch&increment registers, taken at phase start. During the phase a
-//! shard:
+//! buffer, DRAM timing, clock, prefetch queue — borrowed in place from
+//! the machine. One read-only snapshot of every node's DRAM timing,
+//! shell occupancy, link clocks and fetch&increment registers is taken
+//! at phase start and shared by all shards; each shard sees it through
+//! sparse *copy-on-write overlays* keyed by target PE or link id, so a
+//! read falls through to the snapshot and the first mutation copies just
+//! that entry in. A shard's set-up cost is therefore independent of the
+//! machine size, and it pays only for the targets it touches. During the
+//! phase a shard:
 //!
 //! * mutates only its own node,
 //! * reads other nodes' memory bytes through shared [`MemArena`] handles
 //!   (safe: the BSP contract below),
-//! * computes remote *timing* against its private snapshots, and
+//! * computes remote *timing* against its private overlays, and
 //! * appends outbound effects — remote stores, DRAM touches, message
 //!   deliveries, fetch&increment bumps, BLT deposits — to a per-shard
 //!   log stamped with virtual time.
@@ -56,6 +61,8 @@ use crate::cpu::Cpu;
 use crate::machine::{link_occupancy_cy, BltHandle, Machine};
 use crate::node::{Node, NodeHot, OpStats};
 use crate::ops::MachineOps;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use t3d_memsys::{Dram, MemArena, RemoteSink, WriteTarget};
 use t3d_perf::{CostClass, OpKind};
@@ -155,7 +162,9 @@ struct TimedEffect {
     eff: Effect,
 }
 
-/// Read-only state shared by every shard of one phase.
+/// Read-only state shared by every shard of one phase. The snapshots
+/// are taken once per phase (O(N)); shards never copy them wholesale but
+/// read them through [`Overlay`]s.
 struct PhaseShared {
     cfg: MachineConfig,
     torus: Torus,
@@ -194,6 +203,51 @@ impl PhaseShared {
     }
 }
 
+/// Hashes a PE or link id with one multiply, so the high bits the table
+/// probes on are well mixed.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("overlays are keyed by usize ids only")
+    }
+
+    fn write_usize(&mut self, id: usize) {
+        self.0 = (id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// A sparse copy-on-write view of one phase-start snapshot, keyed by PE
+/// or link id: reads fall through to the shared snapshot until the first
+/// mutation copies that one entry in.
+struct Overlay<'s, V> {
+    base: &'s [V],
+    touched: HashMap<usize, V, BuildHasherDefault<IdHasher>>,
+}
+
+impl<'s, V: Clone> Overlay<'s, V> {
+    fn new(base: &'s [V]) -> Self {
+        Overlay {
+            base,
+            touched: HashMap::default(),
+        }
+    }
+
+    fn get(&self, id: usize) -> &V {
+        self.touched.get(&id).unwrap_or(&self.base[id])
+    }
+
+    fn get_mut(&mut self, id: usize) -> &mut V {
+        let base = self.base;
+        self.touched.entry(id).or_insert_with(|| base[id].clone())
+    }
+}
+
 /// One PE's shard of a sharded phase: a [`MachineOps`] backend that owns
 /// its node exclusively and logs outbound effects.
 ///
@@ -207,31 +261,30 @@ pub struct PhasePe<'a> {
     /// for the phase like the node itself.
     hot: &'a mut NodeHot,
     sh: &'a PhaseShared,
-    /// Private evolution of every other node's DRAM timing, seeded from
-    /// the phase-start snapshot.
-    rdram: Vec<Dram>,
-    /// Private evolution of every other node's shell occupancy.
-    rbusy: Vec<u64>,
+    /// Private evolution of other nodes' DRAM timing.
+    rdram: Overlay<'a, Dram>,
+    /// Private evolution of other nodes' shell occupancy.
+    rbusy: Overlay<'a, u64>,
     /// Private evolution of the link-occupancy clocks.
-    rlink: Vec<u64>,
-    /// This shard's own increments of remote fetch&increment registers.
-    finc_bumps: Vec<[u64; 2]>,
+    rlink: Overlay<'a, u64>,
+    /// Other nodes' fetch&increment registers plus this shard's own
+    /// increments of them.
+    rfinc: Overlay<'a, FetchIncRegs>,
     effects: Vec<TimedEffect>,
     seq: u64,
 }
 
 impl<'a> PhasePe<'a> {
     fn new(pe: usize, node: &'a mut Node, hot: &'a mut NodeHot, sh: &'a PhaseShared) -> Self {
-        let n = sh.mems.len();
         PhasePe {
             pe,
             node,
             hot,
             sh,
-            rdram: sh.dram.clone(),
-            rbusy: sh.busy.clone(),
-            rlink: sh.links.clone(),
-            finc_bumps: vec![[0u64; 2]; n],
+            rdram: Overlay::new(&sh.dram),
+            rbusy: Overlay::new(&sh.busy),
+            rlink: Overlay::new(&sh.links),
+            rfinc: Overlay::new(&sh.finc),
             effects: Vec::new(),
             seq: 0,
         }
@@ -277,7 +330,7 @@ impl<'a> PhasePe<'a> {
 
     /// The shard-local mirror of `Machine::contend`: queueing against the
     /// real occupancy for this shard's own shell, against the private
-    /// snapshot for a remote one.
+    /// overlay for a remote one.
     fn contend(&mut self, target: usize, ready: u64, occupancy_cy: u64) -> u64 {
         if !self.sh.cfg.contention {
             return 0;
@@ -285,7 +338,7 @@ impl<'a> PhasePe<'a> {
         let busy = if target == self.pe {
             &mut self.hot.shell_busy_until
         } else {
-            &mut self.rbusy[target]
+            self.rbusy.get_mut(target)
         };
         let start = ready.max(*busy);
         *busy = start + occupancy_cy;
@@ -293,9 +346,9 @@ impl<'a> PhasePe<'a> {
     }
 
     /// The shard-local mirror of `Machine::link_contend`: queueing on the
-    /// dimension-order route against the private phase-start link
-    /// snapshot. The reservation is replayed against the global link
-    /// clocks at merge time via [`TimedEffect::link`].
+    /// dimension-order route against the private overlay of the
+    /// phase-start link clocks. The reservation is replayed against the
+    /// global link clocks at merge time via [`TimedEffect::link`].
     fn link_contend(&mut self, target: usize, ready: u64, occupancy_cy: u64) -> u64 {
         if !self.sh.cfg.link_contention || target == self.pe {
             return 0;
@@ -303,10 +356,10 @@ impl<'a> PhasePe<'a> {
         let path = self.sh.torus.route(self.pe as u32, target as u32);
         let mut start = ready;
         for w in path.windows(2) {
-            start = start.max(self.rlink[self.sh.torus.step_link_id(w[0], w[1])]);
+            start = start.max(*self.rlink.get(self.sh.torus.step_link_id(w[0], w[1])));
         }
         for w in path.windows(2) {
-            self.rlink[self.sh.torus.step_link_id(w[0], w[1])] = start + occupancy_cy;
+            *self.rlink.get_mut(self.sh.torus.step_link_id(w[0], w[1])) = start + occupancy_cy;
         }
         start - ready
     }
@@ -355,7 +408,7 @@ impl<'a> PhasePe<'a> {
     /// The shard-side mirror of `Machine::deliver_outbox`: remote writes
     /// retired by this node's write buffer become merge effects (the ack
     /// is registered source-side immediately, with the delivery timing
-    /// computed against the private target snapshots).
+    /// computed against the private target overlays).
     fn flush_outbox(&mut self) {
         let retired = self.node.port.take_outbox();
         for r in retired {
@@ -375,7 +428,7 @@ impl<'a> PhasePe<'a> {
                 self.node.incoming.push((arrival, bytes));
                 self.node.acks.expect_ack(ack);
             } else {
-                let dram = self.rdram[target].access(sink.remote_line_pa);
+                let dram = self.rdram.get_mut(target).access(sink.remote_line_pa);
                 let ready = r.completion + sink.ack_rtt_cy / 2;
                 let lqueue = self.link_contend(target, ready, link_occupancy_cy(bytes));
                 let queue = self.contend(target, ready + lqueue, dram + 5);
@@ -500,7 +553,7 @@ impl MachineOps for PhasePe<'_> {
                 lqueue = self.link_contend(target, ready, occ);
                 queue = self.contend(target, ready + lqueue, dram + 5);
             } else {
-                dram = self.rdram[target].access(line_off);
+                dram = self.rdram.get_mut(target).access(line_off);
                 self.sh.mems[target].read(line_off, &mut line_buf);
                 let ready = now + cost + shell.remote_read_shell_cy / 2 + self.one_way(target);
                 lqueue = self.link_contend(target, ready, occ);
@@ -546,7 +599,7 @@ impl MachineOps for PhasePe<'_> {
                 lqueue = self.link_contend(target, ready, occ);
                 queue = self.contend(target, ready + lqueue, dram + 5);
             } else {
-                dram = self.rdram[target].access(off);
+                dram = self.rdram.get_mut(target).access(off);
                 self.sh.mems[target].read(off, buf);
                 let ready = now + cost + shell.remote_read_shell_cy / 2 + self.one_way(target);
                 lqueue = self.link_contend(target, ready, occ);
@@ -599,7 +652,7 @@ impl MachineOps for PhasePe<'_> {
             let page_cy = if target == self.pe {
                 self.node.port.dram().peek(line_off)
             } else {
-                self.rdram[target].peek(line_off)
+                self.rdram.get(target).peek(line_off)
             };
             let page_penalty = page_cy.saturating_sub(self.sh.cfg.mem.dram.page_hit_cy);
             let sink = RemoteSink {
@@ -684,7 +737,7 @@ impl MachineOps for PhasePe<'_> {
             self.flush_outbox();
             dram = self.node.port.service_remote_read(off, &mut buf);
         } else {
-            dram = self.rdram[target].access(off);
+            dram = self.rdram.get_mut(target).access(off);
             self.sh.mems[target].read(off, &mut buf);
         }
         let ready = now + tlb + self.sh.cfg.shell.prefetch_net_cy / 2 + self.one_way(target);
@@ -842,7 +895,7 @@ impl MachineOps for PhasePe<'_> {
             let dram = if target_pe == self.pe {
                 self.node.port.dram_mut().access(line)
             } else {
-                let d = self.rdram[target_pe].access(line);
+                let d = self.rdram.get_mut(target_pe).access(line);
                 self.push(now, target_pe, None, None, Effect::DramTouch { off: line });
                 d
             };
@@ -957,8 +1010,7 @@ impl MachineOps for PhasePe<'_> {
         if target_pe == self.pe {
             self.node.fetchinc.fetch_inc(reg)
         } else {
-            let value = self.sh.finc[target_pe].get(reg) + self.finc_bumps[target_pe][reg];
-            self.finc_bumps[target_pe][reg] += 1;
+            let value = self.rfinc.get_mut(target_pe).fetch_inc(reg);
             self.push(
                 ready,
                 target_pe,
@@ -1074,28 +1126,6 @@ fn run_shard<T>(
     shard.into_effects()
 }
 
-/// Reorders `items` in place so position `i` holds the element that was
-/// at `order[i]` (cycle-walking swaps, no scratch buffer of `T`).
-fn permute_in_place<T>(items: &mut [T], order: &[usize]) {
-    debug_assert_eq!(items.len(), order.len());
-    let mut visited = vec![false; order.len()];
-    for start in 0..order.len() {
-        if visited[start] {
-            continue;
-        }
-        let mut i = start;
-        loop {
-            visited[i] = true;
-            let next = order[i];
-            if next == start {
-                break;
-            }
-            items.swap(i, next);
-            i = next;
-        }
-    }
-}
-
 fn run_parallel<T: Send>(
     nodes: &mut [Node],
     hot: &mut [NodeHot],
@@ -1108,63 +1138,48 @@ fn run_parallel<T: Send>(
     // gang scheduler allocates — and give each worker one sub-cube. A
     // worker's PEs are topological neighbours, so the snapshot lines its
     // shards touch stay hot within one worker instead of striding the
-    // whole machine. The node/hot/state arrays are permuted into
-    // sub-cube order for the duration of the phase (merge keys carry
-    // real PE ids, so the permutation cannot affect results).
-    let blocks = subcube::partition(sh.torus.config().dims, threads);
-    let order: Vec<usize> = blocks
-        .iter()
-        .flat_map(|b| b.coords().into_iter().map(|c| sh.torus.node_of(c) as usize))
+    // whole machine. Each worker receives the `&mut` borrows of its
+    // sub-cube's PEs in sub-cube order; the arrays themselves never move
+    // (merge keys carry real PE ids, so the order cannot affect results).
+    let mut slots: Vec<_> = nodes
+        .iter_mut()
+        .zip(hot.iter_mut())
+        .zip(states.iter_mut())
+        .map(Some)
         .collect();
-    debug_assert_eq!(order.len(), nodes.len());
-    permute_in_place(nodes, &order);
-    permute_in_place(hot, &order);
-    permute_in_place(states, &order);
-    let mut results: Vec<Vec<TimedEffect>> = Vec::with_capacity(blocks.len());
+    let work: Vec<Vec<_>> = subcube::partition(sh.torus.config().dims, threads)
+        .iter()
+        .map(|b| {
+            b.coords()
+                .into_iter()
+                .map(|c| {
+                    let pe = sh.torus.node_of(c) as usize;
+                    let ((node, hot), state) =
+                        slots[pe].take().expect("sub-cubes partition the torus");
+                    (pe, node, hot, state)
+                })
+                .collect()
+        })
+        .collect();
+    debug_assert!(slots.iter().all(Option::is_none));
     std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        let mut node_rest = &mut *nodes;
-        let mut hot_rest = &mut *hot;
-        let mut state_rest = &mut *states;
-        let mut base = 0usize;
-        for b in &blocks {
-            let take = b.pes() as usize;
-            let (nchunk, nrest) = node_rest.split_at_mut(take);
-            let (hchunk, hrest) = hot_rest.split_at_mut(take);
-            let (schunk, srest) = state_rest.split_at_mut(take);
-            node_rest = nrest;
-            hot_rest = hrest;
-            state_rest = srest;
-            let pes = &order[base..base + take];
-            base += take;
-            handles.push(s.spawn(move || {
-                let mut out = Vec::new();
-                for (((node, hot), state), &pe) in nchunk
-                    .iter_mut()
-                    .zip(hchunk.iter_mut())
-                    .zip(schunk.iter_mut())
-                    .zip(pes.iter())
-                {
-                    out.append(&mut run_shard(pe, node, hot, sh, state, f));
-                }
-                out
-            }));
-        }
-        for h in handles {
-            match h.join() {
-                Ok(v) => results.push(v),
-                Err(e) => std::panic::resume_unwind(e),
-            }
-        }
-    });
-    let mut inv = vec![0usize; order.len()];
-    for (i, &o) in order.iter().enumerate() {
-        inv[o] = i;
-    }
-    permute_in_place(nodes, &inv);
-    permute_in_place(hot, &inv);
-    permute_in_place(states, &inv);
-    results.into_iter().flatten().collect()
+        let handles: Vec<_> = work
+            .into_iter()
+            .map(|pes| {
+                s.spawn(move || {
+                    let mut out = Vec::new();
+                    for (pe, node, hot, state) in pes {
+                        out.append(&mut run_shard(pe, node, hot, sh, state, f));
+                    }
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
 }
 
 impl Machine {
@@ -1472,5 +1487,242 @@ mod tests {
         assert_eq!(PhaseDriver::Par(0).threads_for(8), 1);
         assert_eq!(PhaseDriver::Par(64).threads_for(8), 8);
         assert_eq!(PhaseDriver::Par(3).threads_for(8), 3);
+    }
+
+    #[test]
+    fn overlay_reads_fall_through_to_the_snapshot() {
+        let base = vec![10u64, 20, 30];
+        let o = Overlay::new(&base);
+        assert_eq!((*o.get(0), *o.get(1), *o.get(2)), (10, 20, 30));
+        assert!(o.touched.is_empty(), "reads must not materialize entries");
+    }
+
+    /// A value that counts how often it is cloned.
+    struct Counted(u64, std::rc::Rc<std::cell::Cell<usize>>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.1.set(self.1.get() + 1);
+            Counted(self.0, std::rc::Rc::clone(&self.1))
+        }
+    }
+
+    #[test]
+    fn overlay_copies_an_entry_once_on_first_mutation() {
+        let clones = std::rc::Rc::new(std::cell::Cell::new(0));
+        let base: Vec<Counted> = (0..4).map(|v| Counted(v, clones.clone())).collect();
+        clones.set(0);
+        let mut o = Overlay::new(&base);
+        o.get_mut(2).0 += 100;
+        assert_eq!(clones.get(), 1, "the first mutation copies the entry in");
+        o.get_mut(2).0 += 1;
+        assert_eq!(o.get(2).0, 103, "later reads see the mutated value");
+        assert_eq!(o.get(1).0, 1, "untouched entries still read the snapshot");
+        assert_eq!(clones.get(), 1, "later mutations reuse the copy");
+        assert_eq!(o.touched.len(), 1);
+        assert_eq!(base[2].0, 2, "the shared snapshot is never written");
+    }
+
+    #[test]
+    fn ring_exchange_materializes_only_touched_entries() {
+        // Drive each shard of a 256-PE ring exchange by hand and inspect
+        // its overlays: one right-hand target means one DRAM and one
+        // shell entry, the route's links, and one fetch&inc entry.
+        for contended in [false, true] {
+            let cfg = if contended {
+                MachineConfig::t3d_link_contended(256)
+            } else {
+                MachineConfig::t3d(256)
+            };
+            let mut m = Machine::new(cfg);
+            m.normalize_for_phase();
+            let (cfg, torus, nodes, hot, links) = m.phase_parts();
+            let sh = PhaseShared::capture(cfg, torus, nodes, hot, links);
+            let n = nodes.len();
+            for (pe, (node, hot)) in nodes.iter_mut().zip(hot.iter_mut()).enumerate() {
+                let right = (pe + 1) % n;
+                let mut shard = PhasePe::new(pe, node, hot, &sh);
+                let mut cpu = Cpu::new(&mut shard, pe);
+                exchange(&mut cpu);
+                let first = cpu.fetch_inc(right, 0);
+                assert_eq!(cpu.fetch_inc(right, 0), first + 1);
+                let hops = sh.torus.route(pe as u32, right as u32).len() - 1;
+                assert_eq!(shard.rdram.touched.len(), 1, "PE {pe}");
+                assert_eq!(shard.rfinc.touched.len(), 1, "PE {pe}");
+                assert_eq!(shard.rbusy.touched.len(), usize::from(contended));
+                assert_eq!(shard.rlink.touched.len(), if contended { hops } else { 0 });
+            }
+        }
+    }
+
+    /// Phase body A: remote loads (cached and uncached) that move target
+    /// DRAM pages, then remote stores to four lines whose page penalty
+    /// peeks the moved page state and whose retirement takes the
+    /// outbox-flush path, then page-missing prefetches from a third PE
+    /// that queue on its shell faster than the pops drain them.
+    fn pin_loads_stores(cpu: &mut Cpu, round: u64) {
+        let pe = cpu.pe();
+        let n = cpu.nodes();
+        let (right, far, left) = ((pe + 1) % n, (pe + 9) % n, (pe + n - 1) % n);
+        cpu.annex_set(1, right as u32, t3d_shell::FuncCode::Uncached);
+        let _ = cpu.ld8(cpu.va(1, 0x40000 + (pe as u64 % 8) * 64));
+        for k in 0..4u64 {
+            let va = cpu.va(1, 0x1000 + round * 0x100 + k * 32);
+            cpu.st8(va, (pe as u64) << 16 | round << 8 | k);
+        }
+        cpu.memory_barrier();
+        cpu.wait_write_acks();
+        cpu.annex_set(2, far as u32, t3d_shell::FuncCode::Cached);
+        let slot = (pe as u64 % 4) * 8;
+        let cached = cpu.ld8(cpu.va(2, 0x2000 + slot)) ^ cpu.ld8(cpu.va(2, 0x2020 + slot));
+        cpu.annex_set(3, left as u32, t3d_shell::FuncCode::Uncached);
+        for i in 0..3u64 {
+            cpu.fetch(cpu.va(3, 0x2100 + i * 0x4000));
+        }
+        cpu.memory_barrier();
+        let mut sum = cached;
+        for _ in 0..3 {
+            sum = sum.wrapping_add(cpu.pop_prefetch().expect("prefetch issued"));
+        }
+        cpu.poke8(0x7000 + round * 8, sum);
+        stamp_clock(cpu, round);
+    }
+
+    /// Phase body B: two fetch&increment bumps at each of two remote
+    /// targets, contiguous and strided BLT reads and writes, and two
+    /// message sends. A blocking load issued right behind a 64 KB BLT
+    /// write on the same route queues behind the stream on the links, and
+    /// the strided BLTs walk pages no one has opened, so their page state
+    /// evolves within the shard.
+    fn pin_atomics_blt_msgs(cpu: &mut Cpu) {
+        let pe = cpu.pe();
+        let n = cpu.nodes();
+        let mut tickets = 0u64;
+        for (target, reg) in [((pe + 1) % n, 0), ((pe + 9) % n, 1)] {
+            for _ in 0..2 {
+                tickets = tickets
+                    .wrapping_mul(31)
+                    .wrapping_add(cpu.fetch_inc(target, reg));
+            }
+        }
+        use t3d_shell::blt::BltDirection;
+        let h = cpu.blt_start(BltDirection::Read, 0x6000, (pe + 3) % n, 0x3000, 256);
+        cpu.blt_wait(h);
+        let big = cpu.blt_start(BltDirection::Write, 0x20000, (pe + 5) % n, 0x10000, 0x10000);
+        cpu.annex_set(1, ((pe + 5) % n) as u32, t3d_shell::FuncCode::Uncached);
+        tickets ^= cpu.ld8(cpu.va(1, 0x3000));
+        // The stream outlasts the load; stamp before waiting it out.
+        stamp_clock(cpu, 4);
+        cpu.blt_wait(big);
+        let h = cpu.blt_start(BltDirection::Write, 0x4000, (pe + 5) % n, 0x5000, 256);
+        cpu.blt_wait(h);
+        cpu.poke8(0x7100, tickets);
+        let h = cpu.blt_start_strided(BltDirection::Read, 0x6800, (pe + 2) % n, 0x30000, 8, 8, 64);
+        cpu.blt_wait(h);
+        let h = cpu.blt_start_strided(BltDirection::Write, 0x4000, (pe + 6) % n, 0x38000, 8, 8, 32);
+        cpu.blt_wait(h);
+        cpu.msg_send((pe + 7) % n, [pe as u64, 1, 2, 3]);
+        cpu.msg_send((pe + 11) % n, [pe as u64, 4, 5, 6]);
+        stamp_clock(cpu, 2);
+    }
+
+    /// Phase body C: drain both messages, then read back a word the left
+    /// neighbour stored in phase A.
+    fn pin_drain(cpu: &mut Cpu) {
+        let pe = cpu.pe();
+        let n = cpu.nodes();
+        let mut acc = 0u64;
+        for _ in 0..2 {
+            let msg = loop {
+                match cpu.msg_receive() {
+                    Some(m) => break m,
+                    None => cpu.advance(500),
+                }
+            };
+            acc = acc
+                .wrapping_mul(131)
+                .wrapping_add(msg.words[0] ^ u64::from(msg.from));
+        }
+        cpu.annex_set(1, ((pe + 1) % n) as u32, t3d_shell::FuncCode::Uncached);
+        acc ^= cpu.ld8(cpu.va(1, 0x1000));
+        cpu.poke8(0x7200, acc);
+        stamp_clock(cpu, 3);
+    }
+
+    /// Records the PE's clock at the end of phase `slot` in its own
+    /// memory, so the fingerprint sees per-PE timing before the barrier
+    /// evens it out.
+    fn stamp_clock(cpu: &mut Cpu, slot: u64) {
+        let now = cpu.clock();
+        cpu.poke8(0x7800 + slot * 8, now);
+    }
+
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+            (h ^ w).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Runs the pinned 64-PE program (shell and link contention on)
+    /// under `driver` and returns `[final clocks, memory (including the
+    /// per-phase clock stamps), fetch&inc registers, shell-busy
+    /// clocks]`, each folded to one FNV word.
+    fn pinned_program(driver: PhaseDriver) -> [u64; 4] {
+        let mut cfg = MachineConfig::t3d_link_contended(64);
+        cfg.engine = crate::event::EngineMode::Cycle;
+        let mut m = Machine::new(cfg);
+        for pe in 0..64 {
+            for i in 0..128u64 {
+                m.poke8(pe, 0x2000 + i * 8, (pe as u64) * 10_007 + i);
+                m.poke8(pe, 0x3000 + i * 8, (pe as u64) * 20_011 + i);
+                m.poke8(pe, 0x4000 + i * 8, (pe as u64) * 30_013 + i);
+            }
+        }
+        for round in 0..2 {
+            m.sharded_phase(driver, |cpu| pin_loads_stores(cpu, round));
+            m.barrier_all();
+        }
+        m.sharded_phase(driver, pin_atomics_blt_msgs);
+        m.barrier_all();
+        m.sharded_phase(driver, pin_drain);
+        let n = m.nodes();
+        let mem = (0..n).map(|pe| {
+            let mut buf = vec![0u8; 0x8000];
+            m.peek_mem(pe, 0, &mut buf);
+            fnv(buf
+                .chunks(8)
+                .map(|c| u64::from_le_bytes(c.try_into().unwrap())))
+        });
+        let mem = fnv(mem.collect::<Vec<_>>());
+        let finc =
+            fnv((0..n).flat_map(|pe| [m.node(pe).fetchinc.get(0), m.node(pe).fetchinc.get(1)]));
+        let clocks = fnv((0..n).map(|pe| m.clock(pe)));
+        let busy = fnv((0..n)
+            .map(|pe| m.node_and_hot_mut(pe).1.shell_busy_until)
+            .collect::<Vec<_>>());
+        [clocks, mem, finc, busy]
+    }
+
+    /// The Seq fingerprint of [`pinned_program`], recorded before the
+    /// shard overlays became copy-on-write. Any change here means the
+    /// sharded engine's simulated behaviour moved.
+    const PINNED_SEQ: [u64; 4] = [
+        0xbc28_e28c_9faf_9e25,
+        0x9016_2e22_5c3c_f0e5,
+        0x8b58_7018_814f_4325,
+        0x1aab_4dc6_5b0f_ada5,
+    ];
+
+    #[test]
+    fn pinned_program_is_unchanged_under_every_driver() {
+        let seq = pinned_program(PhaseDriver::Seq);
+        assert_eq!(seq, PINNED_SEQ, "Seq fingerprint moved: {seq:#018x?}");
+        for threads in [2, 3, 8] {
+            assert_eq!(
+                pinned_program(PhaseDriver::Par(threads)),
+                seq,
+                "Par({threads}) diverged from the Seq oracle"
+            );
+        }
     }
 }

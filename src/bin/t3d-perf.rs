@@ -23,10 +23,13 @@
 //! communication patterns over 8→1024 PEs, each with the contention
 //! models off and on (`.cont` entries), written to `BENCH_scale.json`.
 //! It is not part of `all` — the sweep constructs 1024-PE machines and
-//! runs separately in CI. The suite also self-gates on setup scaling:
-//! the 1024-PE machines must construct in less than 10× the 8-PE
-//! setup time, the observable contract of the demand-chunked memory
-//! arenas.
+//! runs separately in CI. The suite also self-gates on two scaling
+//! contracts: the 1024-PE machines must construct in less than 10× the
+//! 8-PE setup time (the demand-chunked memory arenas), and the per-PE
+//! host cost of an empty sequential sharded phase (the minimum of 20
+//! repetitions after a warm-up) must stay within 4× of its 8-PE value
+//! at 1024 PEs (the copy-on-write shard overlays, which keep phase
+//! set-up O(N) rather than O(N²)).
 //!
 //! `--out DIR` writes the fresh documents (default: current directory);
 //! `--compare DIR` additionally checks them against `DIR/BENCH_*.json`
@@ -230,6 +233,17 @@ const SCALE_SNAP_TOTAL: u64 = 8 << 20;
 /// gate by orders of magnitude.
 const SCALE_SETUP_RATIO: f64 = 10.0;
 
+/// How much larger the per-PE host cost of an empty sharded phase may
+/// be at the largest sweep size than at the smallest. Shards read the
+/// phase-start snapshot through copy-on-write overlays, so a phase costs
+/// O(N) on the host; copying every node's timing state into every shard
+/// (O(N²)) fails this gate by about two orders of magnitude.
+const SCALE_PHASE_RATIO: f64 = 4.0;
+
+/// Timed repetitions of the empty phase (after one warm-up); the gate
+/// takes their minimum, the least noisy estimate of a fixed cost.
+const SCALE_PHASE_REPS: usize = 20;
+
 /// Ring exchange: every PE stores eight words into its right
 /// neighbor, fences and waits for acks — the put pattern whose
 /// barrier and ack classes grow fastest at scale.
@@ -417,6 +431,7 @@ fn run_scale(driver: PhaseDriver, engine: EngineMode, opts: &Opts) -> Result<Ben
         }
     }
     check_setup_scaling(&doc)?;
+    check_phase_scaling()?;
     Ok(doc)
 }
 
@@ -452,6 +467,43 @@ fn check_setup_scaling(doc: &BenchDoc) -> Result<(), String> {
             }
         }
     }
+    Ok(())
+}
+
+/// Host seconds per PE of one empty sequential sharded phase on a
+/// `pes`-PE machine.
+fn empty_phase_secs_per_pe(pes: u32) -> f64 {
+    let mut m = Machine::new(MachineConfig::t3d(pes));
+    m.sharded_phase(PhaseDriver::Seq, |_| {});
+    let best = (0..SCALE_PHASE_REPS)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            m.sharded_phase(PhaseDriver::Seq, |_| {});
+            t.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
+    best / f64::from(pes)
+}
+
+/// The phase set-up gate: the per-PE cost of an empty sharded phase at
+/// the largest sweep size must stay within [`SCALE_PHASE_RATIO`]× of
+/// its cost at the smallest.
+fn check_phase_scaling() -> Result<(), String> {
+    let (lo, hi) = (SCALE_PES[0], SCALE_PES[SCALE_PES.len() - 1]);
+    let (small, big) = (empty_phase_secs_per_pe(lo), empty_phase_secs_per_pe(hi));
+    let ratio = big / small;
+    let summary = format!(
+        "empty sharded phase: {hi}-PE {:.3} µs/PE vs {lo}-PE {:.3} µs/PE, ratio {ratio:.2}× \
+         (limit {SCALE_PHASE_RATIO}×)",
+        big * 1e6,
+        small * 1e6
+    );
+    if ratio > SCALE_PHASE_RATIO {
+        return Err(format!(
+            "{summary} — phase set-up no longer scales linearly with the machine"
+        ));
+    }
+    println!("{summary}");
     Ok(())
 }
 
