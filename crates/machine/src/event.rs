@@ -200,8 +200,7 @@ fn drain_events(hot: &mut NodeHot, node: &mut Node, class: CostClass) -> u64 {
 pub(crate) fn memory_barrier_event(hot: &mut NodeHot, node: &mut Node) -> u64 {
     debug_assert!(node.events.is_empty(), "no stale events between ops");
     let start = hot.clock;
-    let dues: Vec<u64> = node.port.wbuf_due_times().collect();
-    for due in dues {
+    for due in node.port.wbuf_due_times() {
         node.events.push(due, EventKind::WbufRetire);
     }
     drain_events(hot, node, CostClass::WbufDrain);
@@ -217,8 +216,7 @@ pub(crate) fn memory_barrier_event(hot: &mut NodeHot, node: &mut Node) -> u64 {
 pub(crate) fn wait_write_acks_event(hot: &mut NodeHot, node: &mut Node) -> u64 {
     debug_assert!(node.events.is_empty(), "no stale events between ops");
     let start = hot.clock;
-    let times: Vec<u64> = node.acks.pending_times().to_vec();
-    for t in times {
+    for &t in node.acks.pending_times() {
         node.events.push(t, EventKind::AckArrival);
     }
     drain_events(hot, node, CostClass::AckWait);

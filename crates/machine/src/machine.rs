@@ -5,7 +5,7 @@ use crate::config::MachineConfig;
 use crate::event::{self, EngineMode, EventStats};
 use crate::node::{Node, NodeHot};
 use crate::trace::{TraceEvent, TraceKind, Tracer};
-use t3d_memsys::{RemoteSink, WriteTarget};
+use t3d_memsys::{RemoteSink, WriteTarget, MAX_LINE};
 use t3d_perf::{
     chrome_trace, CostClass, Ledger, OpHists, OpKind, PePerf, PerfMode, PerfReport, PhaseLog,
     Registry, Span,
@@ -326,13 +326,10 @@ impl Machine {
         if !self.cfg.link_contention || pe == target {
             return 0;
         }
-        let path = self.torus.route(pe as u32, target as u32);
-        let mut start = ready;
-        for w in path.windows(2) {
-            start = start.max(self.link_busy[self.torus.step_link_id(w[0], w[1])]);
-        }
-        for w in path.windows(2) {
-            self.link_busy[self.torus.step_link_id(w[0], w[1])] = start + occupancy_cy;
+        let links = self.torus.route_links(pe as u32, target as u32);
+        let start = links.clone().fold(ready, |s, l| s.max(self.link_busy[l]));
+        for l in links {
+            self.link_busy[l] = start + occupancy_cy;
         }
         start - ready
     }
@@ -431,10 +428,11 @@ impl Machine {
                 self.nodes[target].port.apply_due(target_clock);
                 self.deliver_outbox(target);
                 let line_off = off & !self.line_mask();
-                let mut line_buf = vec![0u8; self.cfg.mem.l1.line];
+                let mut line = [0u8; MAX_LINE];
+                let line_buf = &mut line[..self.cfg.mem.l1.line];
                 let dram = self.nodes[target]
                     .port
-                    .service_remote_read(line_off, &mut line_buf);
+                    .service_remote_read(line_off, line_buf);
                 let ready = now
                     + cost
                     + self.cfg.shell.remote_read_shell_cy / 2
@@ -461,9 +459,9 @@ impl Machine {
                 p.credit(CostClass::RemoteDram, dram);
                 p.credit(CostClass::Contention, queue + lqueue);
                 if self.nodes[pe].port.has_pending_line(line_pa) {
-                    self.nodes[pe].port.forward_pending(line_pa, &mut line_buf);
+                    self.nodes[pe].port.forward_pending(line_pa, line_buf);
                 }
-                self.nodes[pe].port.install_remote_line(line_pa, &line_buf);
+                self.nodes[pe].port.install_remote_line(line_pa, line_buf);
                 let o = (va - line_pa) as usize;
                 buf.copy_from_slice(&line_buf[o..o + buf.len()]);
             }
@@ -497,10 +495,11 @@ impl Machine {
                 p.credit(CostClass::Contention, queue + lqueue);
                 // Our own pending stores to the same full PA forward.
                 if self.nodes[pe].port.has_pending_line(line_pa) {
-                    let mut line_buf = vec![0u8; self.cfg.mem.l1.line];
+                    let mut line = [0u8; MAX_LINE];
+                    let line_buf = &mut line[..self.cfg.mem.l1.line];
                     let line_off = off & !self.line_mask();
-                    self.nodes[target].port.peek_mem(line_off, &mut line_buf);
-                    self.nodes[pe].port.forward_pending(line_pa, &mut line_buf);
+                    self.nodes[target].port.peek_mem(line_off, line_buf);
+                    self.nodes[pe].port.forward_pending(line_pa, line_buf);
                     let o = (va - line_pa) as usize;
                     buf.copy_from_slice(&line_buf[o..o + buf.len()]);
                 }
@@ -626,15 +625,15 @@ impl Machine {
     /// Delivers retired remote writes from `pe`'s write buffer to their
     /// targets, charging target DRAM and scheduling acknowledgements.
     fn deliver_outbox(&mut self, pe: usize) {
-        let retired = self.nodes[pe].port.take_outbox();
-        for r in retired {
+        let line = self.cfg.mem.l1.line;
+        while let Some(r) = self.nodes[pe].port.pop_outbox() {
             let WriteTarget::Remote(sink) = r.target else {
                 unreachable!("outbox only carries remote writes")
             };
             let target = sink.pe as usize;
             let dram = self.nodes[target].port.service_remote_write(
                 sink.remote_line_pa,
-                &r.data,
+                &r.data[..line],
                 Some(r.mask),
             );
             let bytes = r.mask.count_ones() as u64;
@@ -1859,6 +1858,14 @@ mod tests {
     #[should_panic(expected = "machine size must be a power of two >= 1, got 24 nodes")]
     fn new_panics_on_non_power_of_two() {
         let _ = Machine::new(MachineConfig::t3d(24));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_LINE (64 B)")]
+    fn new_panics_on_a_line_wider_than_max_line() {
+        let mut cfg = MachineConfig::t3d(2);
+        cfg.mem.l1.line = 128;
+        let _ = Machine::new(cfg);
     }
 
     #[test]

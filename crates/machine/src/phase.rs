@@ -64,7 +64,7 @@ use crate::ops::MachineOps;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
-use t3d_memsys::{Dram, MemArena, RemoteSink, WriteTarget};
+use t3d_memsys::{Dram, MemArena, RemoteSink, WriteTarget, MAX_LINE};
 use t3d_perf::{CostClass, OpKind};
 use t3d_shell::blt::BltDirection;
 use t3d_shell::{AnnexEntry, FetchIncRegs, FuncCode, Message, PopError};
@@ -123,7 +123,8 @@ enum Effect {
     /// `arrival` is set) log the data arrival for `storeSync`.
     Write {
         off: u64,
-        data: Vec<u8>,
+        /// The retired line, inline; the first `line` bytes are in use.
+        data: [u8; MAX_LINE],
         mask: Option<u64>,
         arrival: Option<(u64, u64)>,
     },
@@ -353,13 +354,10 @@ impl<'a> PhasePe<'a> {
         if !self.sh.cfg.link_contention || target == self.pe {
             return 0;
         }
-        let path = self.sh.torus.route(self.pe as u32, target as u32);
-        let mut start = ready;
-        for w in path.windows(2) {
-            start = start.max(*self.rlink.get(self.sh.torus.step_link_id(w[0], w[1])));
-        }
-        for w in path.windows(2) {
-            *self.rlink.get_mut(self.sh.torus.step_link_id(w[0], w[1])) = start + occupancy_cy;
+        let links = self.sh.torus.route_links(self.pe as u32, target as u32);
+        let start = links.clone().fold(ready, |s, l| s.max(*self.rlink.get(l)));
+        for l in links {
+            *self.rlink.get_mut(l) = start + occupancy_cy;
         }
         start - ready
     }
@@ -410,18 +408,19 @@ impl<'a> PhasePe<'a> {
     /// is registered source-side immediately, with the delivery timing
     /// computed against the private target overlays).
     fn flush_outbox(&mut self) {
-        let retired = self.node.port.take_outbox();
-        for r in retired {
+        let line = self.sh.cfg.mem.l1.line;
+        while let Some(r) = self.node.port.pop_outbox() {
             let WriteTarget::Remote(sink) = r.target else {
                 unreachable!("outbox only carries remote writes")
             };
             let target = sink.pe as usize;
             let bytes = r.mask.count_ones() as u64;
             if target == self.pe {
-                let dram =
-                    self.node
-                        .port
-                        .service_remote_write(sink.remote_line_pa, &r.data, Some(r.mask));
+                let dram = self.node.port.service_remote_write(
+                    sink.remote_line_pa,
+                    &r.data[..line],
+                    Some(r.mask),
+                );
                 let queue = self.contend(target, r.completion + sink.ack_rtt_cy / 2, dram + 5);
                 let arrival = r.completion + sink.ack_rtt_cy / 2 + dram + queue;
                 let ack = r.completion + sink.ack_rtt_cy + dram + queue;
@@ -544,17 +543,18 @@ impl MachineOps for PhasePe<'_> {
         let shell = self.sh.cfg.shell;
         if entry.func == FuncCode::Cached {
             let line_off = off & !self.line_mask();
-            let mut line_buf = vec![0u8; self.sh.cfg.mem.l1.line];
+            let mut line = [0u8; MAX_LINE];
+            let line_buf = &mut line[..self.sh.cfg.mem.l1.line];
             let occ = link_occupancy_cy(self.sh.cfg.mem.l1.line as u64);
             let (dram, queue, lqueue);
             if target == self.pe {
-                dram = self.node.port.service_remote_read(line_off, &mut line_buf);
+                dram = self.node.port.service_remote_read(line_off, line_buf);
                 let ready = now + cost + shell.remote_read_shell_cy / 2 + self.one_way(target);
                 lqueue = self.link_contend(target, ready, occ);
                 queue = self.contend(target, ready + lqueue, dram + 5);
             } else {
                 dram = self.rdram.get_mut(target).access(line_off);
-                self.sh.mems[target].read(line_off, &mut line_buf);
+                self.sh.mems[target].read(line_off, line_buf);
                 let ready = now + cost + shell.remote_read_shell_cy / 2 + self.one_way(target);
                 lqueue = self.link_contend(target, ready, occ);
                 queue = self.contend(target, ready + lqueue, dram + 5);
@@ -580,9 +580,9 @@ impl MachineOps for PhasePe<'_> {
             p.credit(CostClass::RemoteDram, dram);
             p.credit(CostClass::Contention, queue + lqueue);
             if self.node.port.has_pending_line(line_pa) {
-                self.node.port.forward_pending(line_pa, &mut line_buf);
+                self.node.port.forward_pending(line_pa, line_buf);
             }
-            self.node.port.install_remote_line(line_pa, &line_buf);
+            self.node.port.install_remote_line(line_pa, line_buf);
             let o = (va - line_pa) as usize;
             buf.copy_from_slice(&line_buf[o..o + buf.len()]);
         } else {
@@ -621,10 +621,11 @@ impl MachineOps for PhasePe<'_> {
             p.credit(CostClass::Contention, queue + lqueue);
             // Our own pending stores to the same full PA forward.
             if self.node.port.has_pending_line(line_pa) {
-                let mut line_buf = vec![0u8; self.sh.cfg.mem.l1.line];
+                let mut line = [0u8; MAX_LINE];
+                let line_buf = &mut line[..self.sh.cfg.mem.l1.line];
                 let line_off = off & !self.line_mask();
-                self.read_target_mem(target, line_off, &mut line_buf);
-                self.node.port.forward_pending(line_pa, &mut line_buf);
+                self.read_target_mem(target, line_off, line_buf);
+                self.node.port.forward_pending(line_pa, line_buf);
                 let o = (va - line_pa) as usize;
                 buf.copy_from_slice(&line_buf[o..o + buf.len()]);
             }
@@ -1238,7 +1239,9 @@ impl Machine {
                 run_parallel(nodes, hot, states, &sh, threads, &f)
             }
         };
-        effects.sort_by_key(|e| (e.time, e.src, e.seq));
+        // `(time, src, seq)` is unique per effect, so the unstable sort
+        // yields the same order as a stable one without its scratch copy.
+        effects.sort_unstable_by_key(|e| (e.time, e.src, e.seq));
         self.apply_effects(effects);
         self.resync_inflight_all();
     }
@@ -1254,9 +1257,10 @@ impl Machine {
         let link_contention = self.config().link_contention;
         let line = self.config().mem.l1.line as u64;
         let mut it = effects.into_iter().peekable();
+        let mut run = Vec::new();
         while let Some(first) = it.next() {
             let t = first.target as usize;
-            let mut run = vec![first];
+            run.push(first);
             while let Some(e) = it.next_if(|e| e.target as usize == t) {
                 run.push(e);
             }
@@ -1268,7 +1272,7 @@ impl Machine {
                 }
             }
             let (node, hot) = self.node_and_hot_mut(t);
-            for e in run {
+            for e in run.drain(..) {
                 apply_effect(node, hot, e, line, contention);
             }
         }
@@ -1284,7 +1288,9 @@ fn apply_effect(node: &mut Node, hot: &mut NodeHot, e: TimedEffect, line: u64, c
             mask,
             arrival,
         } => {
-            let _ = node.port.service_remote_write(off, &data, mask);
+            let _ = node
+                .port
+                .service_remote_write(off, &data[..line as usize], mask);
             if let Some((at, bytes)) = arrival {
                 node.incoming.push((at, bytes));
             }

@@ -205,11 +205,16 @@ impl MemArena {
             off + bytes.len(),
             self.len
         );
-        for (i, b) in bytes.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                let pos = off + i;
-                self.chunk_mut(pos / CHUNK_BYTES)[pos % CHUNK_BYTES].store(*b, Ordering::Relaxed);
-            }
+        // Visit only the set bits that index into `bytes`.
+        let mut bits = match bytes.len() {
+            n if n >= 64 => mask,
+            n => mask & ((1 << n) - 1),
+        };
+        while bits != 0 {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let pos = off + i;
+            self.chunk_mut(pos / CHUNK_BYTES)[pos % CHUNK_BYTES].store(bytes[i], Ordering::Relaxed);
         }
     }
 

@@ -18,12 +18,18 @@
 /// Nanoseconds per cycle on the 150 MHz Alpha 21064 used by the T3D.
 pub const CYCLE_NS: f64 = 1000.0 / 150.0;
 
+/// Largest supported cache-line size in bytes: the width of the write
+/// buffer's `u64` per-byte valid mask. Line buffers on the op path are
+/// inline `[u8; MAX_LINE]` arrays sliced to the configured line.
+pub const MAX_LINE: usize = 64;
+
 /// Geometry and hit cost of the on-chip L1 data cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L1Config {
     /// Total capacity in bytes (8 KB on the 21064).
     pub bytes: usize,
-    /// Line size in bytes (32 B on the 21064).
+    /// Line size in bytes (32 B on the 21064). At most [`MAX_LINE`]:
+    /// [`MemPort::new`](crate::MemPort::new) panics on a wider line.
     pub line: usize,
     /// Average cost of a load hit, in cycles.
     pub hit_cy: u64,

@@ -53,7 +53,7 @@ pub mod wbuf;
 
 pub use arena::MemArena;
 pub use cache::L1Cache;
-pub use config::{DramConfig, L2Config, MemConfig, TlbConfig, WbufConfig, CYCLE_NS};
+pub use config::{DramConfig, L2Config, MemConfig, TlbConfig, WbufConfig, CYCLE_NS, MAX_LINE};
 pub use dram::Dram;
 pub use l2::L2Cache;
 pub use port::{MemPort, PortStats};

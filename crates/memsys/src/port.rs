@@ -17,7 +17,8 @@
 
 use crate::arena::MemArena;
 use crate::cache::L1Cache;
-use crate::config::MemConfig;
+use crate::config::{MemConfig, MAX_LINE};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use t3d_perf::{CostClass, Ledger};
 
@@ -79,8 +80,12 @@ pub struct MemPort {
     mem: Arc<MemArena>,
     offset_mask: u64,
     /// Remote writes that have retired from the write buffer and await
-    /// delivery by the machine layer.
-    outbox: Vec<Retired>,
+    /// delivery by the machine layer, oldest first.
+    outbox: VecDeque<Retired>,
+    /// Scratch the write buffer retires into; emptied by every
+    /// [`MemPort::apply_retired`], so its capacity is reused and the
+    /// retire path never allocates in steady state.
+    retired: Vec<Retired>,
     /// Cached [`WriteBuffer::next_due`] (`u64::MAX` when the buffer is
     /// empty). Every timed operation calls [`MemPort::apply_due`]; this
     /// cache lets that call return without touching the write buffer at
@@ -99,7 +104,17 @@ pub struct MemPort {
 
 impl MemPort {
     /// Creates a memory port with zero-filled memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the L1 line exceeds [`MAX_LINE`] bytes or the memory
+    /// does not fit the local offset field.
     pub fn new(cfg: MemConfig) -> Self {
+        assert!(
+            cfg.l1.line <= MAX_LINE,
+            "L1 line of {} B exceeds MAX_LINE ({MAX_LINE} B)",
+            cfg.l1.line
+        );
         assert!(
             (cfg.mem_bytes as u64) <= (1u64 << cfg.offset_bits.min(63)),
             "memory must fit in the local offset field"
@@ -111,7 +126,8 @@ impl MemPort {
             wbuf: WriteBuffer::new(cfg.wbuf, cfg.l1.line),
             dram: Dram::new(cfg.dram),
             mem: Arc::new(MemArena::new(cfg.mem_bytes)),
-            outbox: Vec::new(),
+            outbox: VecDeque::new(),
+            retired: Vec::new(),
             wbuf_next_due: u64::MAX,
             stats: PortStats::default(),
             perf_on: false,
@@ -167,7 +183,6 @@ impl MemPort {
         }
         self.credit(CostClass::Tlb, tlb_cost);
         let mut cost = tlb_cost;
-        let line = self.cfg.l1.line as u64;
         let mut done = 0usize;
         while done < buf.len() {
             let cur = pa + done as u64;
@@ -200,11 +215,12 @@ impl MemPort {
                         dram_cy
                     }
                 };
-                let mut line_buf = vec![0u8; line as usize];
-                self.mem.read(self.offset_of(line_pa), &mut line_buf);
+                let mut fill = [0u8; MAX_LINE];
+                let line_buf = &mut fill[..self.cfg.l1.line];
+                self.mem.read(self.offset_of(line_pa), line_buf);
                 // Same-PA pending stores forward into the fill.
-                self.wbuf.forward(line_pa, &mut line_buf);
-                self.l1.fill(line_pa, &line_buf);
+                self.wbuf.forward(line_pa, line_buf);
+                self.l1.fill(line_pa, line_buf);
                 buf[done..done + take].copy_from_slice(&line_buf[off_in_line..off_in_line + take]);
             }
             done += take;
@@ -243,7 +259,9 @@ impl MemPort {
             WriteTarget::Local => self.dram.access(self.offset_of(pa & !self.line_mask())),
             WriteTarget::Remote(_) => 0,
         };
-        let (out, retired) = self.wbuf.push(now + cost, pa, bytes, target, dram_cy);
+        let out = self
+            .wbuf
+            .push(now + cost, pa, bytes, target, dram_cy, &mut self.retired);
         self.refresh_next_due();
         if out.merged {
             self.stats.wbuf_merges += 1;
@@ -255,16 +273,16 @@ impl MemPort {
         self.credit(CostClass::WbufIssue, issue);
         self.credit(CostClass::WbufStall, out.cycles - issue);
         cost += out.cycles;
-        self.apply_retired(retired);
+        self.apply_retired();
         cost
     }
 
     /// Issues a memory barrier: drains the write buffer and returns the
     /// cost in cycles. Retired remote entries land in the outbox.
     pub fn memory_barrier(&mut self, now: u64) -> u64 {
-        let (cost, retired) = self.wbuf.drain_all(now);
+        let cost = self.wbuf.drain_all(now, &mut self.retired);
         self.wbuf_next_due = u64::MAX;
-        self.apply_retired(retired);
+        self.apply_retired();
         self.credit(CostClass::WbufDrain, cost);
         cost
     }
@@ -275,30 +293,34 @@ impl MemPort {
         if now < self.wbuf_next_due {
             return;
         }
-        let retired = self.wbuf.drain_due(now);
+        self.wbuf.drain_due(now, &mut self.retired);
         self.refresh_next_due();
-        self.apply_retired(retired);
+        self.apply_retired();
     }
 
     fn refresh_next_due(&mut self) {
         self.wbuf_next_due = self.wbuf.next_due().unwrap_or(u64::MAX);
     }
 
-    /// Takes the remote writes that have retired since the last call; the
-    /// machine layer delivers them to their target nodes.
-    pub fn take_outbox(&mut self) -> Vec<Retired> {
-        std::mem::take(&mut self.outbox)
+    /// Takes the oldest remote write that has retired and not yet been
+    /// taken; the machine layer pops until `None` and delivers each to
+    /// its target node, in retire order.
+    pub fn pop_outbox(&mut self) -> Option<Retired> {
+        self.outbox.pop_front()
     }
 
-    fn apply_retired(&mut self, retired: Vec<Retired>) {
-        for r in retired {
+    /// Applies the entries the write buffer just retired into
+    /// `self.retired`: local writes land in memory, remote ones queue in
+    /// the outbox.
+    fn apply_retired(&mut self) {
+        let line = self.cfg.l1.line;
+        for r in self.retired.drain(..) {
             match r.target {
                 WriteTarget::Local => {
-                    let base = self.offset_of(r.line_pa);
-                    self.mem
-                        .write_masked(base, &r.data[..self.cfg.l1.line], r.mask);
+                    let base = r.line_pa & self.offset_mask;
+                    self.mem.write_masked(base, &r.data[..line], r.mask);
                 }
-                WriteTarget::Remote(_) => self.outbox.push(r),
+                WriteTarget::Remote(_) => self.outbox.push_back(r),
             }
         }
     }
@@ -494,9 +516,9 @@ impl MemPort {
         self.dram.reset();
         // Any pending writes are applied instantly; remote entries land
         // in the outbox for the machine layer to deliver.
-        let (_, retired) = self.wbuf.drain_all(u64::MAX / 2);
+        let _ = self.wbuf.drain_all(u64::MAX / 2, &mut self.retired);
         self.wbuf_next_due = u64::MAX;
-        self.apply_retired(retired);
+        self.apply_retired();
         self.wbuf.reset();
     }
 }
@@ -516,6 +538,7 @@ impl Clone for MemPort {
             mem: Arc::new(self.mem.deep_clone()),
             offset_mask: self.offset_mask,
             outbox: self.outbox.clone(),
+            retired: Vec::new(),
             wbuf_next_due: self.wbuf_next_due,
             stats: self.stats,
             perf_on: self.perf_on,
@@ -778,6 +801,14 @@ mod tests {
         let _ = q.read(0, 0x100, &mut b);
         assert_eq!(q.perf_ledger().total(), 0);
         let _ = now;
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_LINE (64 B)")]
+    fn line_wider_than_max_line_panics_at_construction() {
+        let mut cfg = MemConfig::t3d();
+        cfg.l1.line = 2 * MAX_LINE;
+        let _ = MemPort::new(cfg);
     }
 
     #[test]

@@ -29,6 +29,10 @@ pub struct Tlb {
     cfg: TlbConfig,
     /// Resident page numbers, most recently used last.
     pages: Vec<u64>,
+    /// `log2(page_bytes)` when the page size is a power of two (it is in
+    /// every shipped configuration), so translation is a shift instead
+    /// of a division.
+    page_shift: Option<u32>,
     misses: u64,
     hits: u64,
 }
@@ -40,6 +44,7 @@ impl Tlb {
         Tlb {
             cfg,
             pages: Vec::with_capacity(cfg.entries),
+            page_shift: (cfg.page_bytes.is_power_of_two()).then(|| cfg.page_bytes.trailing_zeros()),
             misses: 0,
             hits: 0,
         }
@@ -52,7 +57,10 @@ impl Tlb {
 
     /// Page number containing the given address.
     pub fn page_of(&self, pa: u64) -> u64 {
-        pa / self.cfg.page_bytes
+        match self.page_shift {
+            Some(s) => pa >> s,
+            None => pa / self.cfg.page_bytes,
+        }
     }
 
     /// Translates one access, returning its cost in cycles (0 on a hit,

@@ -24,7 +24,7 @@
 //! pipelined retire interval (DRAM cost / 4) reproduces the measured
 //! 35 ns steady-state store cost.
 
-use crate::config::WbufConfig;
+use crate::config::{WbufConfig, MAX_LINE};
 use std::collections::VecDeque;
 
 /// Where a buffered write is headed.
@@ -66,8 +66,9 @@ pub struct Retired {
     pub line_pa: u64,
     /// Per-byte valid mask within the line.
     pub mask: u64,
-    /// Line-sized data; only bytes with a set mask bit are meaningful.
-    pub data: Vec<u8>,
+    /// Line data, inline; only the first `line` bytes are in use, and of
+    /// those only bytes with a set mask bit are meaningful.
+    pub data: [u8; MAX_LINE],
     /// Destination of the write.
     pub target: WriteTarget,
     /// Virtual time (cycles) at which the entry left the buffer.
@@ -78,7 +79,7 @@ pub struct Retired {
 struct Entry {
     line_pa: u64,
     mask: u64,
-    data: Vec<u8>,
+    data: [u8; MAX_LINE],
     target: WriteTarget,
     /// Earliest time the retire pipeline could begin serving this entry
     /// (issue time or the predecessor's completion, whichever is later) —
@@ -88,9 +89,21 @@ struct Entry {
     interval: f64,
     /// Time the entry finishes retiring.
     completion: f64,
+    /// `completion` rounded up: the integer cycle it retires at.
+    due: u64,
 }
 
 impl Entry {
+    fn retire(self) -> Retired {
+        Retired {
+            line_pa: self.line_pa,
+            mask: self.mask,
+            data: self.data,
+            target: self.target,
+            completion: self.due,
+        }
+    }
+
     fn words(&self, line: usize) -> u64 {
         let mut words = 0;
         for q in 0..(line / 8) {
@@ -121,11 +134,13 @@ pub struct PushOutcome {
 ///
 /// let cfg = MemConfig::t3d();
 /// let mut wb = WriteBuffer::new(cfg.wbuf, cfg.l1.line);
+/// let mut retired = Vec::new();
 /// // Two stores to the same 32 B line merge into one entry.
-/// wb.push(0, 0x100, &[1u8; 8], WriteTarget::Local, 22);
-/// let (out, _retired) = wb.push(3, 0x108, &[2u8; 8], WriteTarget::Local, 22);
+/// wb.push(0, 0x100, &[1u8; 8], WriteTarget::Local, 22, &mut retired);
+/// let out = wb.push(3, 0x108, &[2u8; 8], WriteTarget::Local, 22, &mut retired);
 /// assert!(out.merged);
 /// assert_eq!(wb.pending(), 1);
+/// assert!(retired.is_empty(), "nothing was forced out");
 /// ```
 #[derive(Debug, Clone)]
 pub struct WriteBuffer {
@@ -139,8 +154,15 @@ pub struct WriteBuffer {
 
 impl WriteBuffer {
     /// Creates an empty buffer for `line`-byte cache lines.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` exceeds [`MAX_LINE`] (the byte-mask width).
     pub fn new(cfg: WbufConfig, line: usize) -> Self {
-        assert!(line <= 64, "line size must fit the 64-bit byte mask");
+        assert!(
+            line <= MAX_LINE,
+            "line size {line} exceeds MAX_LINE ({MAX_LINE} B, the byte-mask width)"
+        );
         WriteBuffer {
             cfg,
             line,
@@ -162,7 +184,7 @@ impl WriteBuffer {
 
     /// Completion time of the last pending entry, if any.
     pub fn drain_time(&self) -> Option<u64> {
-        self.entries.back().map(|e| e.completion.ceil() as u64)
+        self.entries.back().map(|e| e.due)
     }
 
     /// Earliest cycle at which [`WriteBuffer::drain_due`] could retire
@@ -172,7 +194,7 @@ impl WriteBuffer {
     /// `c <= now`). The port caches this to skip the drain call on the
     /// per-operation fast path.
     pub fn next_due(&self) -> Option<u64> {
-        self.entries.front().map(|e| e.completion.ceil() as u64)
+        self.entries.front().map(|e| e.due)
     }
 
     /// Integer completion times of every pending entry, in FIFO (retire)
@@ -182,7 +204,7 @@ impl WriteBuffer {
     /// `completion` the entry will carry when it retires through
     /// [`WriteBuffer::drain_due`] or [`WriteBuffer::drain_all`].
     pub fn due_times(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.iter().map(|e| e.completion.ceil() as u64)
+        self.entries.iter().map(|e| e.due)
     }
 
     fn line_base(&self, pa: u64) -> u64 {
@@ -193,7 +215,8 @@ impl WriteBuffer {
     ///
     /// `local_dram_cy` is the DRAM service cost the entry will pay when it
     /// retires locally (ignored for remote targets, whose interval comes
-    /// from their [`RemoteSink`]). Returns the processor-visible cost.
+    /// from their [`RemoteSink`]). Returns the processor-visible cost; a
+    /// head entry forced out to make room is appended to `retired`.
     ///
     /// # Panics
     ///
@@ -205,7 +228,8 @@ impl WriteBuffer {
         bytes: &[u8],
         target: WriteTarget,
         local_dram_cy: u64,
-    ) -> (PushOutcome, Vec<Retired>) {
+        retired: &mut Vec<Retired>,
+    ) -> PushOutcome {
         assert!(!bytes.is_empty(), "store must carry at least one byte");
         let line_pa = self.line_base(pa);
         let off = (pa - line_pa) as usize;
@@ -214,7 +238,6 @@ impl WriteBuffer {
             "store must not cross a line boundary"
         );
 
-        let mut retired = Vec::new();
         let mut cost = self.cfg.store_issue_cy;
         let tnow = now as f64;
 
@@ -235,15 +258,13 @@ impl WriteBuffer {
                 // A wider entry takes longer to inject through the shell.
                 tail.interval = sink.interval_cy(tail.words(line)) as f64;
                 tail.completion = tail.base + tail.interval;
+                tail.due = tail.completion.ceil() as u64;
                 self.pipe_tail = tail.completion;
             }
-            return (
-                PushOutcome {
-                    cycles: cost,
-                    merged: true,
-                },
-                retired,
-            );
+            return PushOutcome {
+                cycles: cost,
+                merged: true,
+            };
         }
 
         // Stall for a free entry, retiring the head if the buffer is full.
@@ -253,17 +274,11 @@ impl WriteBuffer {
                 cost += (head_done - tnow).ceil() as u64;
             }
             let head = self.entries.pop_front().expect("buffer full");
-            retired.push(Retired {
-                line_pa: head.line_pa,
-                mask: head.mask,
-                data: head.data,
-                target: head.target,
-                completion: head.completion.ceil() as u64,
-            });
+            retired.push(head.retire());
         }
 
         let issue = (now + cost) as f64;
-        let mut data = vec![0u8; self.line];
+        let mut data = [0u8; MAX_LINE];
         let mut mask = 0u64;
         for (i, b) in bytes.iter().enumerate() {
             data[off + i] = *b;
@@ -287,57 +302,38 @@ impl WriteBuffer {
             base,
             interval,
             completion,
+            due: completion.ceil() as u64,
         });
-        (
-            PushOutcome {
-                cycles: cost,
-                merged: false,
-            },
-            retired,
-        )
+        PushOutcome {
+            cycles: cost,
+            merged: false,
+        }
     }
 
-    /// Retires every entry whose completion time is at or before `now`.
-    pub fn drain_due(&mut self, now: u64) -> Vec<Retired> {
-        let mut out = Vec::new();
+    /// Retires every entry whose completion time is at or before `now`,
+    /// appending them to `out` in FIFO order.
+    pub fn drain_due(&mut self, now: u64, out: &mut Vec<Retired>) {
         while let Some(head) = self.entries.front() {
-            if head.completion <= now as f64 {
-                let e = self.entries.pop_front().expect("head exists");
-                out.push(Retired {
-                    line_pa: e.line_pa,
-                    mask: e.mask,
-                    data: e.data,
-                    target: e.target,
-                    completion: e.completion.ceil() as u64,
-                });
-            } else {
+            if head.completion > now as f64 {
                 break;
             }
+            let e = self.entries.pop_front().expect("head exists");
+            out.push(e.retire());
         }
-        out
     }
 
-    /// Drains the whole buffer (memory-barrier semantics): returns the
-    /// retired entries and the cost in cycles to the issuing processor
-    /// (barrier issue + wait for the last entry).
-    pub fn drain_all(&mut self, now: u64) -> (u64, Vec<Retired>) {
+    /// Drains the whole buffer (memory-barrier semantics), appending the
+    /// retired entries to `out`, and returns the cost in cycles to the
+    /// issuing processor (barrier issue + wait for the last entry).
+    pub fn drain_all(&mut self, now: u64, out: &mut Vec<Retired>) -> u64 {
         let mut cost = self.cfg.mb_issue_cy;
         if let Some(last) = self.entries.back() {
             if last.completion > now as f64 {
                 cost += (last.completion - now as f64).ceil() as u64;
             }
         }
-        let mut out = Vec::new();
-        while let Some(e) = self.entries.pop_front() {
-            out.push(Retired {
-                line_pa: e.line_pa,
-                mask: e.mask,
-                data: e.data,
-                target: e.target,
-                completion: e.completion.ceil() as u64,
-            });
-        }
-        (cost, out)
+        out.extend(self.entries.drain(..).map(Entry::retire));
+        cost
     }
 
     /// Resets the retire pipeline (entries must already be drained).
@@ -387,6 +383,12 @@ mod tests {
         WriteBuffer::new(cfg.wbuf, cfg.l1.line)
     }
 
+    fn drain_due(wb: &mut WriteBuffer, now: u64) -> Vec<Retired> {
+        let mut out = Vec::new();
+        wb.drain_due(now, &mut out);
+        out
+    }
+
     fn sink() -> RemoteSink {
         RemoteSink {
             pe: 1,
@@ -399,9 +401,17 @@ mod tests {
 
     #[test]
     fn stores_to_one_line_merge() {
+        let mut r = Vec::new();
         let mut wb = wbuf();
         for i in 0..4u64 {
-            let (out, _) = wb.push(i, 0x100 + i * 8, &[i as u8; 8], WriteTarget::Local, 22);
+            let out = wb.push(
+                i,
+                0x100 + i * 8,
+                &[i as u8; 8],
+                WriteTarget::Local,
+                22,
+                &mut r,
+            );
             assert_eq!(out.merged, i != 0);
         }
         assert_eq!(wb.pending(), 1);
@@ -413,15 +423,17 @@ mod tests {
         // other store merges and none stall, so the average cost is the
         // 3-cycle issue cost.
         let mut wb = wbuf();
+        let mut r = Vec::new();
         let mut now = 0u64;
         let n = 256u64;
         for i in 0..n {
-            let (out, _) = wb.push(
+            let out = wb.push(
                 now,
                 (i / 4) * 32 + (i % 4) * 8,
                 &[1; 8],
                 WriteTarget::Local,
                 22,
+                &mut r,
             );
             now += out.cycles;
         }
@@ -434,21 +446,23 @@ mod tests {
 
     #[test]
     fn distinct_lines_occupy_distinct_entries() {
+        let mut r = Vec::new();
         let mut wb = wbuf();
         for i in 0..4u64 {
-            wb.push(i, 0x100 + i * 32, &[1; 8], WriteTarget::Local, 22);
+            wb.push(i, 0x100 + i * 32, &[1; 8], WriteTarget::Local, 22, &mut r);
         }
         assert_eq!(wb.pending(), 4);
     }
 
     #[test]
     fn full_buffer_stalls_until_head_retires() {
+        let mut r = Vec::new();
         let mut wb = wbuf();
         for i in 0..4u64 {
-            wb.push(i, i * 64, &[1; 8], WriteTarget::Local, 22);
+            wb.push(i, i * 64, &[1; 8], WriteTarget::Local, 22, &mut r);
         }
-        let (out, retired) = wb.push(4, 4 * 64, &[1; 8], WriteTarget::Local, 22);
-        assert_eq!(retired.len(), 1, "head was forced out");
+        let out = wb.push(4, 4 * 64, &[1; 8], WriteTarget::Local, 22, &mut r);
+        assert_eq!(r.len(), 1, "head was forced out");
         assert!(
             out.cycles > MemConfig::t3d().wbuf.store_issue_cy,
             "store stalled"
@@ -457,6 +471,7 @@ mod tests {
 
     #[test]
     fn steady_state_local_interval_is_quarter_dram_cost() {
+        let mut r = Vec::new();
         // With back-to-back stores to distinct lines, throughput is
         // limited to one entry per dram/4 = 5.5 cycles: the 35 ns plateau
         // in Figure 2.
@@ -464,7 +479,7 @@ mod tests {
         let mut now = 0u64;
         let n = 64u64;
         for i in 0..n {
-            let (out, _) = wb.push(now, i * 64, &[1; 8], WriteTarget::Local, 22);
+            let out = wb.push(now, i * 64, &[1; 8], WriteTarget::Local, 22, &mut r);
             now += out.cycles;
         }
         let avg = now as f64 / n as f64;
@@ -476,11 +491,19 @@ mod tests {
 
     #[test]
     fn remote_single_word_interval_is_17_cycles() {
+        let mut r = Vec::new();
         let mut wb = wbuf();
         let mut now = 0u64;
         let n = 64u64;
         for i in 0..n {
-            let (out, _) = wb.push(now, i * 64, &[1; 8], WriteTarget::Remote(sink()), 22);
+            let out = wb.push(
+                now,
+                i * 64,
+                &[1; 8],
+                WriteTarget::Remote(sink()),
+                22,
+                &mut r,
+            );
             now += out.cycles;
         }
         let avg = now as f64 / n as f64;
@@ -500,8 +523,9 @@ mod tests {
 
     #[test]
     fn forward_matches_only_exact_physical_line() {
+        let mut r = Vec::new();
         let mut wb = wbuf();
-        wb.push(0, 0x100, &[7; 8], WriteTarget::Local, 22);
+        wb.push(0, 0x100, &[7; 8], WriteTarget::Local, 22, &mut r);
         let mut buf = [0u8; 32];
         assert!(wb.forward(0x100, &mut buf));
         assert_eq!(buf[0], 7);
@@ -513,13 +537,14 @@ mod tests {
 
     #[test]
     fn forward_overlays_youngest_value() {
+        let mut r = Vec::new();
         let mut wb = wbuf();
-        wb.push(0, 0x100, &[1; 8], WriteTarget::Local, 22);
+        wb.push(0, 0x100, &[1; 8], WriteTarget::Local, 22, &mut r);
         // A second, non-mergeable write to the same line (force by filling
         // with a different target) — emulate by draining merge window:
         // push to another line in between.
-        wb.push(1, 0x200, &[9; 8], WriteTarget::Local, 22);
-        wb.push(2, 0x100, &[2; 8], WriteTarget::Local, 22);
+        wb.push(1, 0x200, &[9; 8], WriteTarget::Local, 22, &mut r);
+        wb.push(2, 0x100, &[2; 8], WriteTarget::Local, 22, &mut r);
         let mut buf = [0u8; 32];
         wb.forward(0x100, &mut buf);
         assert_eq!(buf[0], 2, "youngest pending value wins");
@@ -527,48 +552,58 @@ mod tests {
 
     #[test]
     fn drain_all_reports_cost_and_empties() {
+        let mut r = Vec::new();
         let mut wb = wbuf();
         for i in 0..4u64 {
-            wb.push(i, i * 64, &[1; 8], WriteTarget::Local, 22);
+            wb.push(i, i * 64, &[1; 8], WriteTarget::Local, 22, &mut r);
         }
-        let (cost, retired) = wb.drain_all(4);
+        let mut retired = Vec::new();
+        let cost = wb.drain_all(4, &mut retired);
         assert_eq!(retired.len(), 4);
         assert!(cost > MemConfig::t3d().wbuf.mb_issue_cy);
         assert_eq!(wb.pending(), 0);
         // Barrier on an empty buffer costs just the issue.
-        let (cost, retired) = wb.drain_all(100);
+        retired.clear();
+        let cost = wb.drain_all(100, &mut retired);
         assert!(retired.is_empty());
         assert_eq!(cost, MemConfig::t3d().wbuf.mb_issue_cy);
     }
 
     #[test]
     fn drain_due_respects_completion_times() {
+        let mut r = Vec::new();
         let mut wb = wbuf();
-        wb.push(0, 0, &[1; 8], WriteTarget::Local, 22);
-        assert!(wb.drain_due(0).is_empty(), "not yet complete");
-        assert_eq!(wb.drain_due(1000).len(), 1);
+        wb.push(0, 0, &[1; 8], WriteTarget::Local, 22, &mut r);
+        assert!(drain_due(&mut wb, 0).is_empty(), "not yet complete");
+        assert_eq!(drain_due(&mut wb, 1000).len(), 1);
     }
 
     #[test]
     fn next_due_agrees_with_drain_due_at_the_boundary() {
+        let mut r = Vec::new();
         let mut wb = wbuf();
         assert_eq!(wb.next_due(), None, "empty buffer has nothing due");
-        wb.push(0, 0, &[1; 8], WriteTarget::Local, 22);
+        wb.push(0, 0, &[1; 8], WriteTarget::Local, 22, &mut r);
         let due = wb.next_due().expect("one entry pending");
         assert!(
-            wb.drain_due(due - 1).is_empty(),
+            drain_due(&mut wb, due - 1).is_empty(),
             "one cycle early nothing retires"
         );
-        assert_eq!(wb.drain_due(due).len(), 1, "at next_due the head retires");
+        assert_eq!(
+            drain_due(&mut wb, due).len(),
+            1,
+            "at next_due the head retires"
+        );
         assert_eq!(wb.next_due(), None);
     }
 
     #[test]
     fn merging_remote_entry_extends_interval() {
+        let mut r = Vec::new();
         let mut wb = wbuf();
-        wb.push(0, 0x100, &[1; 8], WriteTarget::Remote(sink()), 22);
+        wb.push(0, 0x100, &[1; 8], WriteTarget::Remote(sink()), 22, &mut r);
         let t1 = wb.drain_time().unwrap();
-        wb.push(1, 0x108, &[2; 8], WriteTarget::Remote(sink()), 22);
+        wb.push(1, 0x108, &[2; 8], WriteTarget::Remote(sink()), 22, &mut r);
         let t2 = wb.drain_time().unwrap();
         assert_eq!(wb.pending(), 1, "merged");
         assert!(t2 > t1, "wider entry takes longer to inject");
@@ -576,11 +611,12 @@ mod tests {
 
     #[test]
     fn merging_can_be_disabled() {
+        let mut r = Vec::new();
         let mut cfg = MemConfig::t3d();
         cfg.wbuf.merge = false;
         let mut wb = WriteBuffer::new(cfg.wbuf, cfg.l1.line);
-        wb.push(0, 0x100, &[1; 8], WriteTarget::Local, 22);
-        let (out, _) = wb.push(1, 0x108, &[2; 8], WriteTarget::Local, 22);
+        wb.push(0, 0x100, &[1; 8], WriteTarget::Local, 22, &mut r);
+        let out = wb.push(1, 0x108, &[2; 8], WriteTarget::Local, 22, &mut r);
         assert!(!out.merged, "ablated buffer never merges");
         assert_eq!(wb.pending(), 2);
     }
@@ -588,7 +624,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "line boundary")]
     fn push_across_line_panics() {
+        let mut r = Vec::new();
         let mut wb = wbuf();
-        wb.push(0, 28, &[0; 8], WriteTarget::Local, 22);
+        wb.push(0, 28, &[0; 8], WriteTarget::Local, 22, &mut r);
     }
 }

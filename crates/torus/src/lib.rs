@@ -296,6 +296,44 @@ impl Torus {
         self.link_id(a, dim, dir)
     }
 
+    /// The dense link ids of the dimension-order route `a → b`, in route
+    /// order, without building the path: exactly
+    /// `route(a, b).windows(2).map(|w| step_link_id(w[0], w[1]))`,
+    /// including the plus-direction canonicalization on extent-2 rings.
+    /// The walk owns a copy of the geometry, so callers may mutate
+    /// per-link state while iterating; it is `Clone`, so a two-pass
+    /// reservation (find the hottest link, then hold them all) walks the
+    /// route twice for free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` or `b` is out of range.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use t3d_torus::{Torus, TorusConfig};
+    ///
+    /// let t = Torus::new(TorusConfig { dims: (4, 4, 2), hop_cy: 2.5 });
+    /// let walked: Vec<usize> = t.route_links(0, 31).collect();
+    /// let routed: Vec<usize> = t
+    ///     .route(0, 31)
+    ///     .windows(2)
+    ///     .map(|w| t.step_link_id(w[0], w[1]))
+    ///     .collect();
+    /// assert_eq!(walked, routed);
+    /// ```
+    pub fn route_links(&self, a: u32, b: u32) -> RouteLinks {
+        let (ca, cb) = (self.coord_of(a), self.coord_of(b));
+        let (nx, ny, nz) = self.cfg.dims;
+        RouteLinks {
+            dims: [nx, ny, nz],
+            cur: [ca.x, ca.y, ca.z],
+            dst: [cb.x, cb.y, cb.z],
+            dim: 0,
+        }
+    }
+
     /// A neighbour of `node` at exactly one hop (used by the adjacent-node
     /// probes, which mirror the paper's measurement setup).
     ///
@@ -323,6 +361,47 @@ impl Torus {
             }
         };
         self.node_of(n)
+    }
+}
+
+/// Iterator over the dense link ids of one dimension-order route; see
+/// [`Torus::route_links`].
+#[derive(Debug, Clone)]
+pub struct RouteLinks {
+    dims: [u32; 3],
+    cur: [u32; 3],
+    dst: [u32; 3],
+    /// Dimension being resolved (X, Y, Z, then 3 = done).
+    dim: usize,
+}
+
+impl Iterator for RouteLinks {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.dim < 3 {
+            let d = self.dim;
+            let (n, v, t) = (self.dims[d], self.cur[d], self.dst[d]);
+            if v == t {
+                self.dim += 1;
+                continue;
+            }
+            // Shorter way round, ties going plus (as in `route`). On an
+            // extent-2 ring both directions are one wire: the plus link.
+            let fwd = if t > v { t - v } else { t + n - v };
+            let plus = fwd <= n - fwd;
+            let dir = usize::from(!plus && n != 2);
+            let [x, y, z] = self.cur;
+            let node = (x + self.dims[0] * (y + self.dims[1] * z)) as usize;
+            self.cur[d] = match plus {
+                true if v + 1 == n => 0,
+                true => v + 1,
+                false if v == 0 => n - 1,
+                false => v - 1,
+            };
+            return Some(node * 6 + d * 2 + dir);
+        }
+        None
     }
 }
 

@@ -6,9 +6,10 @@
 //! EM3D communication volume scales with the remote-edge fraction.
 //!
 //! Counts live in a dense `Vec<u64>` indexed by
-//! [`Torus::link_id`](crate::Torus::link_id) — no hashing on the
-//! accounting path, and iteration order (hence `hottest_link`
-//! tie-breaking) is the deterministic link-id order.
+//! [`Torus::link_id`](crate::Torus::link_id) and are walked with
+//! [`Torus::route_links`](crate::Torus::route_links) — no hashing and no
+//! path allocation on the accounting path, and iteration order (hence
+//! `hottest_link` tie-breaking) is the deterministic link-id order.
 
 use crate::{Coord, Torus};
 
@@ -45,9 +46,8 @@ impl TrafficMatrix {
             self.links = vec![0; torus.num_links()];
         }
         self.messages += 1;
-        let path = torus.route(src, dst);
-        for w in path.windows(2) {
-            self.links[torus.step_link_id(w[0], w[1])] += bytes;
+        for id in torus.route_links(src, dst) {
+            self.links[id] += bytes;
         }
     }
 

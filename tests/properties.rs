@@ -104,6 +104,39 @@ fn torus_route_consistency() {
     });
 }
 
+/// The allocation-free route walk yields exactly the dense link ids of
+/// consecutive `route` steps, extent-2 canonicalization included.
+#[test]
+fn torus_route_links_match_route_steps() {
+    fn check(t: &Torus, a: u32, b: u32) {
+        let oracle: Vec<usize> = t
+            .route(a, b)
+            .windows(2)
+            .map(|w| t.step_link_id(w[0], w[1]))
+            .collect();
+        let walked: Vec<usize> = t.route_links(a, b).collect();
+        assert_eq!(walked, oracle, "{:?}: {a} -> {b}", t.config().dims);
+    }
+    Rng::cases(0x500A, 512, |_, rng| {
+        let dims = (
+            rng.gen_range(1u32..5),
+            rng.gen_range(1u32..5),
+            rng.gen_range(1u32..5),
+        );
+        let t = Torus::new(TorusConfig { dims, hop_cy: 2.5 });
+        let n = t.nodes();
+        check(&t, rng.gen_range(0..n), rng.gen_range(0..n));
+    });
+    for dims in [(2, 2, 2), (1, 1, 8), (8, 8, 4)] {
+        let t = Torus::new(TorusConfig { dims, hop_cy: 2.5 });
+        for a in 0..t.nodes() {
+            for b in 0..t.nodes() {
+                check(&t, a, b);
+            }
+        }
+    }
+}
+
 /// Spread arrays partition ownership completely and disjointly.
 #[test]
 fn spread_partition() {
