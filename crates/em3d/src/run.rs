@@ -6,7 +6,6 @@
 
 use crate::graph::{Em3dGraph, Em3dParams, Endpoint};
 use splitc::{GlobalPtr, RecEvent, SplitC};
-use std::collections::HashMap;
 use t3d_machine::{EngineMode, MachineConfig, OpStats, PerfMode, PerfReport, PhaseDriver};
 
 /// Which optimization level to run (Section 8, in paper order).
@@ -118,90 +117,118 @@ pub struct Em3dResult {
 struct BulkRegion {
     src: u32,
     first_slot: u64,
-    /// H/E indices at the source, in slot order.
-    indices: Vec<u32>,
+    /// Number of ghost slots (H/E values) in this slice.
+    len: u64,
     /// Byte offset of this slice in the source's send buffer.
     src_off: u64,
+}
+
+impl BulkRegion {
+    /// The slots this region covers in its consumer's ghost region.
+    fn slots(&self) -> std::ops::Range<usize> {
+        self.first_slot as usize..(self.first_slot + self.len) as usize
+    }
 }
 
 /// Communication plan for one half step (E-update or H-update).
 #[derive(Debug, Clone)]
 struct HalfPlan {
-    /// Consumer PE -> endpoint -> ghost slot.
-    slot_of: Vec<HashMap<Endpoint, u64>>,
+    /// Consumer PE -> ghost slot of edge `i * degree + j`, the layout of
+    /// the adjacency arrays. Entries of local edges are unused.
+    slot: Vec<Vec<u32>>,
+    /// Consumer PE -> H/E index at the source of each ghost slot.
+    ghost_idx: Vec<Vec<u32>>,
     /// Consumer PE -> regions grouped by source.
     regions: Vec<Vec<BulkRegion>>,
     /// Producer PE -> (consumer, my index, consumer slot).
     push_list: Vec<Vec<(u32, u32, u64)>>,
-    /// Producer PE -> (consumer, my send-buffer byte offset, indices).
-    gather_list: Vec<Vec<(u32, u64, Vec<u32>)>>,
+    /// Producer PE -> (consumer, index into the consumer's `regions`).
+    gather_list: Vec<Vec<(u32, u32)>>,
 }
 
 impl HalfPlan {
+    /// Builds the plan in O(edges log edges). Ghost slots number each
+    /// consumer's unique remote endpoints by source PE in ascending
+    /// order, and in first-seen edge order within one source.
     fn build(deps: &[Vec<Vec<Endpoint>>], nprocs: u32) -> Self {
         let n = nprocs as usize;
-        let mut slot_of = vec![HashMap::new(); n];
-        let mut regions: Vec<Vec<BulkRegion>> = vec![Vec::new(); n];
-        for c in 0..n {
-            // Unique remote endpoints, grouped by source PE, first-seen
-            // order within each source.
-            let mut per_src: Vec<Vec<u32>> = vec![Vec::new(); n];
-            let mut seen = std::collections::HashSet::new();
-            for node in &deps[c] {
-                for ep in node {
-                    if ep.pe as usize != c && seen.insert(*ep) {
-                        per_src[ep.pe as usize].push(ep.idx);
+        let mut slot = Vec::with_capacity(n);
+        let mut ghost_idx = Vec::with_capacity(n);
+        let mut regions: Vec<Vec<BulkRegion>> = Vec::with_capacity(n);
+        // Remote edges as `(pe, idx, edge)`, reused across consumers.
+        let mut edges: Vec<(u32, u32, u32)> = Vec::new();
+        for (c, nodes) in deps.iter().enumerate() {
+            let degree = nodes.first().map_or(0, Vec::len);
+            edges.clear();
+            for (i, node) in nodes.iter().enumerate() {
+                debug_assert_eq!(node.len(), degree, "uniform degree");
+                for (j, ep) in node.iter().enumerate() {
+                    if ep.pe as usize != c {
+                        edges.push((ep.pe, ep.idx, (i * degree + j) as u32));
                     }
                 }
             }
-            let mut slot = 0u64;
-            for (s, indices) in per_src.into_iter().enumerate() {
-                if indices.is_empty() {
-                    continue;
+            edges.sort_unstable();
+            // Unique endpoints as `(pe, first edge, its edges)`, in slot
+            // order: by source PE, then first-seen within a source.
+            let mut unique: Vec<_> = edges
+                .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
+                .map(|run| (run[0].0, run[0].2, run))
+                .collect();
+            unique.sort_unstable_by_key(|&(pe, first, _)| (pe, first));
+            let mut slots = vec![0u32; nodes.len() * degree];
+            let mut idxs = Vec::with_capacity(unique.len());
+            let mut consumer_regions: Vec<BulkRegion> = Vec::new();
+            for (k, &(pe, _, run)) in unique.iter().enumerate() {
+                for &(_, _, e) in run {
+                    slots[e as usize] = k as u32;
                 }
-                for (k, idx) in indices.iter().enumerate() {
-                    slot_of[c].insert(
-                        Endpoint {
-                            pe: s as u32,
-                            idx: *idx,
-                        },
-                        slot + k as u64,
-                    );
+                idxs.push(run[0].1);
+                match consumer_regions.last_mut() {
+                    Some(r) if r.src == pe => r.len += 1,
+                    _ => consumer_regions.push(BulkRegion {
+                        src: pe,
+                        first_slot: k as u64,
+                        len: 1,
+                        src_off: 0, // fixed up below
+                    }),
                 }
-                regions[c].push(BulkRegion {
-                    src: s as u32,
-                    first_slot: slot,
-                    src_off: 0, // fixed up below
-                    indices: indices.clone(),
-                });
-                slot += indices.len() as u64;
             }
+            slot.push(slots);
+            ghost_idx.push(idxs);
+            regions.push(consumer_regions);
         }
         // Send-buffer offsets at each source: consumers in PE order.
         let mut send_cursor = vec![0u64; n];
         for consumer_regions in &mut regions {
             for r in consumer_regions.iter_mut() {
                 r.src_off = send_cursor[r.src as usize];
-                send_cursor[r.src as usize] += r.indices.len() as u64 * 8;
+                send_cursor[r.src as usize] += r.len * 8;
             }
         }
         // Producer-side views.
         let mut push_list: Vec<Vec<(u32, u32, u64)>> = vec![Vec::new(); n];
-        let mut gather_list: Vec<Vec<(u32, u64, Vec<u32>)>> = vec![Vec::new(); n];
+        let mut gather_list: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
         for (c, consumer_regions) in regions.iter().enumerate() {
-            for r in consumer_regions {
-                for (k, idx) in r.indices.iter().enumerate() {
+            for (ri, r) in consumer_regions.iter().enumerate() {
+                for (k, idx) in ghost_idx[c][r.slots()].iter().enumerate() {
                     push_list[r.src as usize].push((c as u32, *idx, r.first_slot + k as u64));
                 }
-                gather_list[r.src as usize].push((c as u32, r.src_off, r.indices.clone()));
+                gather_list[r.src as usize].push((c as u32, ri as u32));
             }
         }
         HalfPlan {
-            slot_of,
+            slot,
+            ghost_idx,
             regions,
             push_list,
             gather_list,
         }
+    }
+
+    /// The source indices of `consumer`'s ghost slots in `region`.
+    fn indices(&self, consumer: usize, region: &BulkRegion) -> &[u32] {
+        &self.ghost_idx[consumer][region.slots()]
     }
 }
 
@@ -235,6 +262,11 @@ fn weight(j: usize) -> f64 {
 
 fn pack_endpoint(ep: Endpoint) -> u64 {
     ((ep.pe as u64) << 32) | ep.idx as u64
+}
+
+/// Little-endian bytes of a word sequence, as `poke8` lays words out.
+fn le_words(words: impl Iterator<Item = u64>) -> Vec<u8> {
+    words.flat_map(u64::to_le_bytes).collect()
 }
 
 /// Host reference: runs `steps` leapfrog steps and returns the final E
@@ -291,20 +323,20 @@ fn fill_ghosts(
     let pe = ctx.pe();
     match (version, phase) {
         (Version::Bundle | Version::Unroll, CommPhase::Pull) => {
-            for regions in &plan.regions[pe] {
-                for (k, idx) in regions.indices.iter().enumerate() {
-                    let gp = GlobalPtr::new(regions.src, vals_off + *idx as u64 * 8);
+            for region in &plan.regions[pe] {
+                for (k, idx) in plan.indices(pe, region).iter().enumerate() {
+                    let gp = GlobalPtr::new(region.src, vals_off + *idx as u64 * 8);
                     let v = ctx.read_u64(gp);
                     ctx.ops()
-                        .st8(pe, ghost_off + (regions.first_slot + k as u64) * 8, v);
+                        .st8(pe, ghost_off + (region.first_slot + k as u64) * 8, v);
                 }
             }
         }
         (Version::Get, CommPhase::Pull) => {
-            for regions in &plan.regions[pe] {
-                for (k, idx) in regions.indices.iter().enumerate() {
-                    let gp = GlobalPtr::new(regions.src, vals_off + *idx as u64 * 8);
-                    ctx.get(ghost_off + (regions.first_slot + k as u64) * 8, gp);
+            for region in &plan.regions[pe] {
+                for (k, idx) in plan.indices(pe, region).iter().enumerate() {
+                    let gp = GlobalPtr::new(region.src, vals_off + *idx as u64 * 8);
+                    ctx.get(ghost_off + (region.first_slot + k as u64) * 8, gp);
                 }
             }
             ctx.sync();
@@ -329,26 +361,25 @@ fn fill_ghosts(
         (Version::StoreSync, CommPhase::Pull) => {
             // Message-driven completion: wait for exactly the ghost
             // bytes this half step owes us.
-            let expected: u64 = plan.regions[pe]
-                .iter()
-                .map(|r| r.indices.len() as u64 * 8)
-                .sum();
+            let expected: u64 = plan.regions[pe].iter().map(|r| r.len * 8).sum();
             ctx.store_sync(expected);
         }
         (Version::Bulk, CommPhase::Push) => {
             // Gather values destined for each consumer into the send
             // buffer (local copies).
-            for (_, src_off, indices) in &plan.gather_list[pe] {
-                for (k, idx) in indices.iter().enumerate() {
+            for &(consumer, ri) in &plan.gather_list[pe] {
+                let region = &plan.regions[consumer as usize][ri as usize];
+                for (k, idx) in plan.indices(consumer as usize, region).iter().enumerate() {
                     let v = ctx.ops().ld8(pe, vals_off + *idx as u64 * 8);
-                    ctx.ops().st8(pe, send_off + src_off + k as u64 * 8, v);
+                    ctx.ops()
+                        .st8(pe, send_off + region.src_off + k as u64 * 8, v);
                 }
             }
             ctx.ops().memory_barrier(pe);
         }
         (Version::Bulk, CommPhase::Pull) => {
             for region in &plan.regions[pe] {
-                let bytes = region.indices.len() as u64 * 8;
+                let bytes = region.len * 8;
                 ctx.bulk_get(
                     ghost_off + region.first_slot * 8,
                     GlobalPtr::new(region.src, send_off + region.src_off),
@@ -396,7 +427,7 @@ fn compute_half(
             } else if version == Version::Simple {
                 f64::from_bits(ctx.read_u64(GlobalPtr::new(ep.pe, src_vals + ep.idx as u64 * 8)))
             } else {
-                let slot = plan.slot_of[pe][ep];
+                let slot = plan.slot[pe][i * node.len() + j] as u64;
                 f64::from_bits(ctx.ops().ld8(pe, ghost_off + slot * 8))
             };
             acc += w * v;
@@ -574,26 +605,35 @@ fn run_version_inner(
     let e_plan = HalfPlan::build(&g.e_deps, nprocs); // H values consumed by E update
     let h_plan = HalfPlan::build(&g.h_deps, nprocs);
 
-    // Initialize values, weights and the in-memory adjacency lists.
+    // Initialize values, weights and the in-memory adjacency lists: one
+    // functional write per array and PE.
+    let npp_us = params.nodes_per_pe;
+    let weights =
+        le_words((0..npp_us).flat_map(|_| (0..params.degree).map(|j| weight(j).to_bits())));
     for p in 0..nprocs as usize {
-        for i in 0..params.nodes_per_pe {
-            sc.machine()
-                .poke8(p, layout.e_vals + i as u64 * 8, initial_e(p, i).to_bits());
-            sc.machine()
-                .poke8(p, layout.h_vals + i as u64 * 8, initial_h(p, i).to_bits());
-            for j in 0..params.degree {
-                let w = weight(j).to_bits();
-                let off = (i * params.degree + j) as u64 * 8;
-                sc.machine().poke8(p, layout.e_w + off, w);
-                sc.machine().poke8(p, layout.h_w + off, w);
-                let e_ep = g.e_deps[p][i][j];
-                let h_ep = g.h_deps[p][i][j];
-                sc.machine()
-                    .poke8(p, layout.e_adj + off, pack_endpoint(e_ep));
-                sc.machine()
-                    .poke8(p, layout.h_adj + off, pack_endpoint(h_ep));
-            }
-        }
+        let m = sc.machine();
+        m.poke_mem(
+            p,
+            layout.e_vals,
+            &le_words((0..npp_us).map(|i| initial_e(p, i).to_bits())),
+        );
+        m.poke_mem(
+            p,
+            layout.h_vals,
+            &le_words((0..npp_us).map(|i| initial_h(p, i).to_bits())),
+        );
+        m.poke_mem(p, layout.e_w, &weights);
+        m.poke_mem(p, layout.h_w, &weights);
+        m.poke_mem(
+            p,
+            layout.e_adj,
+            &le_words(g.e_deps[p].iter().flatten().map(|&ep| pack_endpoint(ep))),
+        );
+        m.poke_mem(
+            p,
+            layout.h_adj,
+            &le_words(g.h_deps[p].iter().flatten().map(|&ep| pack_endpoint(ep))),
+        );
     }
 
     // Phase markers for the profiler (no-ops unless profiling is on).
@@ -886,8 +926,141 @@ pub fn fig9_sweep(nprocs: u32, base: Em3dParams, pcts: &[f64]) -> Vec<(String, V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{HashMap, HashSet};
 
     const NPROCS: u32 = 4;
+
+    /// A reference region: (src, first slot, indices, send offset).
+    type RefRegion = (u32, u64, Vec<u32>, u64);
+
+    /// The plan build before it went O(edges): a hashed slot table, a
+    /// dense per-source list per consumer, and cloned region indices.
+    /// Kept as the reference [`HalfPlan::build`] must reproduce.
+    struct RefPlan {
+        slot_of: Vec<HashMap<Endpoint, u64>>,
+        regions: Vec<Vec<RefRegion>>,
+        push_list: Vec<Vec<(u32, u32, u64)>>,
+        /// Producer -> (consumer, send offset, indices).
+        gather_list: Vec<Vec<(u32, u64, Vec<u32>)>>,
+    }
+
+    impl RefPlan {
+        fn build(deps: &[Vec<Vec<Endpoint>>], nprocs: u32) -> Self {
+            let n = nprocs as usize;
+            let mut slot_of = vec![HashMap::new(); n];
+            let mut regions: Vec<Vec<RefRegion>> = vec![Vec::new(); n];
+            for c in 0..n {
+                let mut per_src: Vec<Vec<u32>> = vec![Vec::new(); n];
+                let mut seen = HashSet::new();
+                for node in &deps[c] {
+                    for ep in node {
+                        if ep.pe as usize != c && seen.insert(*ep) {
+                            per_src[ep.pe as usize].push(ep.idx);
+                        }
+                    }
+                }
+                let mut slot = 0u64;
+                for (s, indices) in per_src.into_iter().enumerate() {
+                    if indices.is_empty() {
+                        continue;
+                    }
+                    for (k, idx) in indices.iter().enumerate() {
+                        let ep = Endpoint {
+                            pe: s as u32,
+                            idx: *idx,
+                        };
+                        slot_of[c].insert(ep, slot + k as u64);
+                    }
+                    let len = indices.len() as u64;
+                    regions[c].push((s as u32, slot, indices, 0));
+                    slot += len;
+                }
+            }
+            let mut send_cursor = vec![0u64; n];
+            for consumer_regions in &mut regions {
+                for r in consumer_regions.iter_mut() {
+                    r.3 = send_cursor[r.0 as usize];
+                    send_cursor[r.0 as usize] += r.2.len() as u64 * 8;
+                }
+            }
+            let mut push_list: Vec<Vec<(u32, u32, u64)>> = vec![Vec::new(); n];
+            let mut gather_list: Vec<Vec<(u32, u64, Vec<u32>)>> = vec![Vec::new(); n];
+            for (c, consumer_regions) in regions.iter().enumerate() {
+                for (src, first_slot, indices, src_off) in consumer_regions {
+                    for (k, idx) in indices.iter().enumerate() {
+                        push_list[*src as usize].push((c as u32, *idx, first_slot + k as u64));
+                    }
+                    gather_list[*src as usize].push((c as u32, *src_off, indices.clone()));
+                }
+            }
+            RefPlan {
+                slot_of,
+                regions,
+                push_list,
+                gather_list,
+            }
+        }
+    }
+
+    #[test]
+    fn plan_build_matches_the_hashed_reference() {
+        let mut graphs = 0;
+        for nprocs in [2, 5, 64] {
+            for pct in [0.0, 10.0, 30.0, 100.0] {
+                for seed in 0..3 {
+                    let mut params = Em3dParams::tiny(pct);
+                    params.seed = 0x5EED + seed;
+                    let g = Em3dGraph::generate(params, nprocs);
+                    for deps in [&g.e_deps, &g.h_deps] {
+                        let plan = HalfPlan::build(deps, nprocs);
+                        let want = RefPlan::build(deps, nprocs);
+                        let ctx = format!("{nprocs} PEs, {pct}% remote, seed {seed}");
+                        let regions: Vec<Vec<_>> = (0..nprocs as usize)
+                            .map(|c| {
+                                plan.regions[c]
+                                    .iter()
+                                    .map(|r| {
+                                        let idx = plan.indices(c, r).to_vec();
+                                        (r.src, r.first_slot, idx, r.src_off)
+                                    })
+                                    .collect()
+                            })
+                            .collect();
+                        assert_eq!(regions, want.regions, "regions, {ctx}");
+                        assert_eq!(plan.push_list, want.push_list, "push_list, {ctx}");
+                        let gather: Vec<Vec<_>> = (0..nprocs as usize)
+                            .map(|p| {
+                                plan.gather_list[p]
+                                    .iter()
+                                    .map(|&(c, ri)| {
+                                        let r = &plan.regions[c as usize][ri as usize];
+                                        let idx = plan.indices(c as usize, r).to_vec();
+                                        (c, r.src_off, idx)
+                                    })
+                                    .collect()
+                            })
+                            .collect();
+                        assert_eq!(gather, want.gather_list, "gather_list, {ctx}");
+                        for (c, nodes) in deps.iter().enumerate() {
+                            for (i, node) in nodes.iter().enumerate() {
+                                for (j, ep) in node.iter().enumerate() {
+                                    if ep.pe as usize != c {
+                                        assert_eq!(
+                                            plan.slot[c][i * node.len() + j] as u64,
+                                            want.slot_of[c][ep],
+                                            "slot of edge ({i}, {j}) on PE {c}, {ctx}"
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    graphs += 1;
+                }
+            }
+        }
+        assert_eq!(graphs, 36);
+    }
 
     #[test]
     fn all_versions_compute_the_reference_answer() {

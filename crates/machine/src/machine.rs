@@ -4,6 +4,7 @@
 use crate::config::MachineConfig;
 use crate::event::{self, EngineMode, EventStats};
 use crate::node::{Node, NodeHot};
+use crate::phase::EffectLogs;
 use crate::trace::{TraceEvent, TraceKind, Tracer};
 use t3d_memsys::{RemoteSink, WriteTarget, MAX_LINE};
 use t3d_perf::{
@@ -79,6 +80,8 @@ pub struct Machine {
     tracer: Tracer,
     perf_mode: PerfMode,
     phase_log: PhaseLog,
+    /// Sharded-phase effect logs, kept between phases for their capacity.
+    pub(crate) effect_logs: EffectLogs,
 }
 
 impl Machine {
@@ -129,6 +132,7 @@ impl Machine {
             tracer: Tracer::default(),
             perf_mode: PerfMode::Off,
             phase_log: PhaseLog::default(),
+            effect_logs: EffectLogs::default(),
         };
         let mode = PerfMode::effective(PerfMode::Off);
         if mode.counters() {

@@ -26,12 +26,13 @@
 //!   (safe: the BSP contract below),
 //! * computes remote *timing* against its private overlays, and
 //! * appends outbound effects — remote stores, DRAM touches, message
-//!   deliveries, fetch&increment bumps, BLT deposits — to a per-shard
-//!   log stamped with virtual time.
+//!   deliveries, fetch&increment bumps, BLT deposits — stamped with
+//!   virtual time to its worker's effect log (one log per worker thread,
+//!   owned by the machine and reused from phase to phase).
 //!
 //! When every shard has run, the logs are merged in deterministic order
-//! — `(virtual time, source PE, issue sequence)` — and applied to the
-//! real nodes. Because each shard's execution depends only on the phase
+//! — `(virtual time, source PE, issue order)` — and applied to the real
+//! nodes. Because each shard's execution depends only on the phase
 //! entry state, and the merge order is a pure function of the logs, the
 //! result is **bit-identical whether the shards run sequentially or on
 //! any number of threads**. [`PhaseDriver::Seq`] is therefore a true
@@ -142,15 +143,15 @@ enum Effect {
     LinkReserve,
 }
 
-/// An [`Effect`] with its deterministic merge key.
+/// An [`Effect`] with its deterministic merge key. The key's issue-order
+/// tiebreaker is the record's position in the effect logs (see
+/// [`EffectLogs::sort_keys`]).
 #[derive(Debug)]
-struct TimedEffect {
+pub(crate) struct TimedEffect {
     /// Virtual time at which the effect reaches the target.
     time: u64,
     /// Issuing PE.
     src: u32,
-    /// Issue order within the source shard (merge tiebreaker).
-    seq: u64,
     /// Target PE.
     target: u32,
     /// Shell-occupancy replay `(ready, occupancy_cy)` for contention
@@ -271,12 +272,18 @@ pub struct PhasePe<'a> {
     /// Other nodes' fetch&increment registers plus this shard's own
     /// increments of them.
     rfinc: Overlay<'a, FetchIncRegs>,
-    effects: Vec<TimedEffect>,
-    seq: u64,
+    /// The effect log of the worker running this shard.
+    effects: &'a mut Vec<TimedEffect>,
 }
 
 impl<'a> PhasePe<'a> {
-    fn new(pe: usize, node: &'a mut Node, hot: &'a mut NodeHot, sh: &'a PhaseShared) -> Self {
+    fn new(
+        pe: usize,
+        node: &'a mut Node,
+        hot: &'a mut NodeHot,
+        sh: &'a PhaseShared,
+        effects: &'a mut Vec<TimedEffect>,
+    ) -> Self {
         PhasePe {
             pe,
             node,
@@ -286,8 +293,7 @@ impl<'a> PhasePe<'a> {
             rbusy: Overlay::new(&sh.busy),
             rlink: Overlay::new(&sh.links),
             rfinc: Overlay::new(&sh.finc),
-            effects: Vec::new(),
-            seq: 0,
+            effects,
         }
     }
 
@@ -370,12 +376,9 @@ impl<'a> PhasePe<'a> {
         link: Option<(u64, u64)>,
         eff: Effect,
     ) {
-        let seq = self.seq;
-        self.seq += 1;
         self.effects.push(TimedEffect {
             time,
             src: self.pe as u32,
-            seq,
             target: target as u32,
             busy,
             link,
@@ -448,10 +451,6 @@ impl<'a> PhasePe<'a> {
                 self.node.acks.expect_ack(ack);
             }
         }
-    }
-
-    fn into_effects(self) -> Vec<TimedEffect> {
-        self.effects
     }
 }
 
@@ -1114,6 +1113,68 @@ impl MachineOps for PhasePe<'_> {
     }
 }
 
+/// Per-worker effect logs plus the merge's sort keys. The machine owns
+/// one of these and reuses it for every phase: logs are cleared after
+/// the merge but keep their capacity, so a steady phase loop stops
+/// allocating for log growth after its first phase.
+#[derive(Debug, Default)]
+pub(crate) struct EffectLogs {
+    /// One log per worker (one under [`PhaseDriver::Seq`]); a worker
+    /// appends its shards' effects in shard order.
+    logs: Vec<Vec<TimedEffect>>,
+    /// Index of each log's first record in the logs' concatenation.
+    starts: Vec<usize>,
+    /// `(time, src, index)` merge keys, where `index` is the record's
+    /// position in the concatenation of `logs`.
+    keys: Vec<(u64, u32, u32)>,
+}
+
+impl EffectLogs {
+    /// The logs of workers `0..n`, created on first use.
+    fn workers(&mut self, n: usize) -> &mut [Vec<TimedEffect>] {
+        if self.logs.len() < n {
+            self.logs.resize_with(n, Vec::new);
+        }
+        &mut self.logs[..n]
+    }
+
+    /// Sorts compact keys instead of the records themselves.
+    ///
+    /// The key order equals `(time, src, issue order)`: every shard runs
+    /// on one worker and appends to that worker's log in push order, so
+    /// all effects of one source sit in one log and their `index` grows
+    /// with issue order. Keys are unique (`index` is), so the unstable
+    /// sort is deterministic.
+    fn sort_keys(&mut self) {
+        self.keys.clear();
+        self.starts.clear();
+        let mut base = 0;
+        for log in &self.logs {
+            self.starts.push(base);
+            self.keys.extend(log.iter().enumerate().map(|(i, e)| {
+                let index = u32::try_from(base + i).expect("fewer than 2^32 effects per phase");
+                (e.time, e.src, index)
+            }));
+            base += log.len();
+        }
+        self.keys.sort_unstable();
+    }
+
+    /// The record at `index` in the logs' concatenation.
+    fn get(&self, index: u32) -> &TimedEffect {
+        let i = index as usize;
+        let w = self.starts.partition_point(|&s| s <= i) - 1;
+        &self.logs[w][i - self.starts[w]]
+    }
+
+    /// Empties every log, keeping its capacity.
+    fn clear(&mut self) {
+        for log in &mut self.logs {
+            log.clear();
+        }
+    }
+}
+
 fn run_shard<T>(
     pe: usize,
     node: &mut Node,
@@ -1121,10 +1182,10 @@ fn run_shard<T>(
     sh: &PhaseShared,
     state: &mut T,
     f: &(impl Fn(&mut dyn MachineOps, usize, &mut T) + Sync),
-) -> Vec<TimedEffect> {
-    let mut shard = PhasePe::new(pe, node, hot, sh);
+    log: &mut Vec<TimedEffect>,
+) {
+    let mut shard = PhasePe::new(pe, node, hot, sh, log);
     f(&mut shard, pe, state);
-    shard.into_effects()
 }
 
 fn run_parallel<T: Send>(
@@ -1134,7 +1195,8 @@ fn run_parallel<T: Send>(
     sh: &PhaseShared,
     threads: usize,
     f: &(impl Fn(&mut dyn MachineOps, usize, &mut T) + Sync),
-) -> Vec<TimedEffect> {
+    logs: &mut EffectLogs,
+) {
     // Partition the torus into canonical sub-cubes — the same shapes the
     // gang scheduler allocates — and give each worker one sub-cube. A
     // worker's PEs are topological neighbours, so the snapshot lines its
@@ -1163,24 +1225,23 @@ fn run_parallel<T: Send>(
         })
         .collect();
     debug_assert!(slots.iter().all(Option::is_none));
+    let logs = logs.workers(work.len());
     std::thread::scope(|s| {
         let handles: Vec<_> = work
             .into_iter()
-            .map(|pes| {
+            .zip(logs)
+            .map(|(pes, log)| {
                 s.spawn(move || {
-                    let mut out = Vec::new();
                     for (pe, node, hot, state) in pes {
-                        out.append(&mut run_shard(pe, node, hot, sh, state, f));
+                        run_shard(pe, node, hot, sh, state, f, log);
                     }
-                    out
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    })
+        for h in handles {
+            h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+        }
+    });
 }
 
 impl Machine {
@@ -1220,68 +1281,71 @@ impl Machine {
             states.len()
         );
         self.normalize_for_phase();
-        let mut effects = {
+        let mut logs = std::mem::take(&mut self.effect_logs);
+        {
             let (cfg, torus, nodes, hot, links) = self.phase_parts();
             let sh = PhaseShared::capture(cfg, torus, nodes, hot, links);
             let threads = driver.threads_for(n);
             if threads <= 1 {
-                let mut all = Vec::new();
+                let log = &mut logs.workers(1)[0];
                 for (pe, ((node, hot), state)) in nodes
                     .iter_mut()
                     .zip(hot.iter_mut())
                     .zip(states.iter_mut())
                     .enumerate()
                 {
-                    all.append(&mut run_shard(pe, node, hot, &sh, state, &f));
+                    run_shard(pe, node, hot, &sh, state, &f, log);
                 }
-                all
             } else {
-                run_parallel(nodes, hot, states, &sh, threads, &f)
+                run_parallel(nodes, hot, states, &sh, threads, &f, &mut logs);
             }
-        };
-        // `(time, src, seq)` is unique per effect, so the unstable sort
-        // yields the same order as a stable one without its scratch copy.
-        effects.sort_unstable_by_key(|e| (e.time, e.src, e.seq));
-        self.apply_effects(effects);
+        }
+        logs.sort_keys();
+        self.apply_effects(&logs);
+        logs.clear();
+        self.effect_logs = logs;
         self.resync_inflight_all();
     }
 
-    /// Applies merged shard effects to the real nodes, in the already
-    /// deterministic order. Consecutive records for the same target are
-    /// applied as one run against a single node borrow, so a burst of
-    /// effects landing on one PE (the common shape after the
-    /// `(time, src, seq)` sort) resolves the node once per run instead
-    /// of once per record.
-    fn apply_effects(&mut self, effects: Vec<TimedEffect>) {
+    /// Applies merged shard effects to the real nodes, in key order,
+    /// reading each record in place in its log. Consecutive records for
+    /// the same target are applied as one run against a single node
+    /// borrow, so a burst of effects landing on one PE (the common shape
+    /// after the sort) resolves the node once per run instead of once per
+    /// record.
+    fn apply_effects(&mut self, logs: &EffectLogs) {
         let contention = self.config().contention;
         let link_contention = self.config().link_contention;
         let line = self.config().mem.l1.line as u64;
-        let mut it = effects.into_iter().peekable();
-        let mut run = Vec::new();
-        while let Some(first) = it.next() {
-            let t = first.target as usize;
-            run.push(first);
-            while let Some(e) = it.next_if(|e| e.target as usize == t) {
-                run.push(e);
-            }
+        let mut rest = &logs.keys[..];
+        while let Some(&(_, _, first)) = rest.first() {
+            let t = logs.get(first).target;
+            let len = rest
+                .iter()
+                .position(|&(_, _, i)| logs.get(i).target != t)
+                .unwrap_or(rest.len());
+            let (run, tail) = rest.split_at(len);
+            rest = tail;
+            let t = t as usize;
             if link_contention {
-                for e in &run {
+                for &(_, _, i) in run {
+                    let e = logs.get(i);
                     if let Some((ready, occ)) = e.link {
                         self.replay_link(e.src as usize, t, ready, occ);
                     }
                 }
             }
             let (node, hot) = self.node_and_hot_mut(t);
-            for e in run.drain(..) {
-                apply_effect(node, hot, e, line, contention);
+            for &(_, _, i) in run {
+                apply_effect(node, hot, logs.get(i), line, contention);
             }
         }
     }
 }
 
 /// Applies one merged shard effect to its target node.
-fn apply_effect(node: &mut Node, hot: &mut NodeHot, e: TimedEffect, line: u64, contention: bool) {
-    match e.eff {
+fn apply_effect(node: &mut Node, hot: &mut NodeHot, e: &TimedEffect, line: u64, contention: bool) {
+    match &e.eff {
         Effect::Write {
             off,
             data,
@@ -1290,13 +1354,13 @@ fn apply_effect(node: &mut Node, hot: &mut NodeHot, e: TimedEffect, line: u64, c
         } => {
             let _ = node
                 .port
-                .service_remote_write(off, &data[..line as usize], mask);
-            if let Some((at, bytes)) = arrival {
-                node.incoming.push((at, bytes));
+                .service_remote_write(*off, &data[..line as usize], *mask);
+            if let Some(arrival) = arrival {
+                node.incoming.push(*arrival);
             }
         }
         Effect::Poke { off, data } => {
-            node.port.poke_mem(off, &data);
+            node.port.poke_mem(*off, data);
             let mut a = off & !(line - 1);
             while a < off + data.len() as u64 {
                 node.port.l1_mut().invalidate(a);
@@ -1304,11 +1368,11 @@ fn apply_effect(node: &mut Node, hot: &mut NodeHot, e: TimedEffect, line: u64, c
             }
         }
         Effect::DramTouch { off } => {
-            let _ = node.port.dram_mut().access(off);
+            let _ = node.port.dram_mut().access(*off);
         }
-        Effect::Msg(msg) => node.msgq.deliver(msg),
+        Effect::Msg(msg) => node.msgq.deliver(*msg),
         Effect::FetchInc { reg } => {
-            let _ = node.fetchinc.fetch_inc(reg);
+            let _ = node.fetchinc.fetch_inc(*reg);
         }
         Effect::LinkReserve => {}
     }
@@ -1545,9 +1609,10 @@ mod tests {
             let (cfg, torus, nodes, hot, links) = m.phase_parts();
             let sh = PhaseShared::capture(cfg, torus, nodes, hot, links);
             let n = nodes.len();
+            let mut log = Vec::new();
             for (pe, (node, hot)) in nodes.iter_mut().zip(hot.iter_mut()).enumerate() {
                 let right = (pe + 1) % n;
-                let mut shard = PhasePe::new(pe, node, hot, &sh);
+                let mut shard = PhasePe::new(pe, node, hot, &sh, &mut log);
                 let mut cpu = Cpu::new(&mut shard, pe);
                 exchange(&mut cpu);
                 let first = cpu.fetch_inc(right, 0);

@@ -5,7 +5,8 @@
 //! has grown every reusable buffer to its steady-state size, a second
 //! identical pass of each op kind must allocate nothing at all through
 //! the direct [`Machine`] API, and a sharded phase may allocate only for
-//! the growth of its per-shard logs.
+//! its phase-start snapshot and its copy-on-write overlays: the effect
+//! logs and merge keys keep their capacity from the previous phase.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -152,7 +153,7 @@ fn direct_api_ops_allocate_nothing_in_steady_state() {
 }
 
 #[test]
-fn sharded_phase_allocates_only_for_log_growth() {
+fn sharded_phase_allocates_only_for_snapshot_and_overlays() {
     const PES: usize = 64;
     let mut m = Machine::new(MachineConfig::t3d_link_contended(PES as u32));
     m.set_perf_mode(PerfMode::Off);
@@ -181,8 +182,13 @@ fn sharded_phase_allocates_only_for_log_growth() {
     let before = allocs();
     phase(&mut m);
     let n = allocs() - before;
+    // Per PE: one DRAM clone in the phase-start snapshot, then the
+    // shard's first touches of its overlays (DRAM, shell and link
+    // tables plus the DRAM entry's copy), with room for one table
+    // growth. A few more for the snapshot's phase-wide arrays. This
+    // measured 325; growing effect logs anew each phase measured 909.
     assert!(
-        n <= 16 * PES as u64,
+        n <= 6 * PES as u64 + 16,
         "{n} allocations for {} remote stores on {PES} PEs",
         OPS * PES as u64
     );

@@ -9,7 +9,7 @@
 
 use splitc::{GlobalPtr, SpreadArray};
 use t3d_machine::{Machine, MachineConfig};
-use t3d_memsys::{MemConfig, MemPort};
+use t3d_memsys::{MemConfig, MemPort, Tlb, TlbConfig};
 use t3d_prng::Rng;
 use t3d_shell::{AnnexEntry, FuncCode};
 use t3d_torus::{Torus, TorusConfig};
@@ -138,6 +138,52 @@ fn torus_route_links_match_route_steps() {
 }
 
 /// Spread arrays partition ownership completely and disjointly.
+/// The TLB matches a naive LRU list access for access: same cost and
+/// the same hit and miss counts, on both page sizes and for every small
+/// entry count, including streams that revisit the most recent page.
+#[test]
+fn tlb_matches_naive_lru() {
+    Rng::cases(0x500A, 256, |case, rng| {
+        let base = if case % 2 == 0 {
+            MemConfig::t3d().tlb
+        } else {
+            MemConfig::dec_workstation().tlb
+        };
+        let cfg = TlbConfig {
+            entries: rng.gen_range(1usize..9),
+            ..base
+        };
+        let mut tlb = Tlb::new(cfg);
+        let mut lru: Vec<u64> = Vec::new();
+        let (mut hits, mut misses) = (0u64, 0u64);
+        let pool = rng.gen_range(1u64..2 * cfg.entries as u64 + 2);
+        let mut page = 0;
+        for _ in 0..512 {
+            if rng.gen_range(0u32..3) > 0 {
+                page = rng.gen_range(0..pool);
+            }
+            let pa = page * cfg.page_bytes + rng.gen_range(0..cfg.page_bytes);
+            let want = match lru.iter().position(|&p| p == page) {
+                Some(pos) => {
+                    lru.remove(pos);
+                    hits += 1;
+                    0
+                }
+                None => {
+                    if lru.len() == cfg.entries {
+                        lru.remove(0);
+                    }
+                    misses += 1;
+                    cfg.miss_cy
+                }
+            };
+            lru.push(page);
+            assert_eq!(tlb.access(pa), want, "access to page {page} with {cfg:?}");
+        }
+        assert_eq!((tlb.hits(), tlb.misses()), (hits, misses), "{cfg:?}");
+    });
+}
+
 #[test]
 fn spread_partition() {
     Rng::cases(0x5006, 64, |_, rng| {
