@@ -462,60 +462,26 @@ pub fn run_version_with(
     params: Em3dParams,
     version: Version,
 ) -> Em3dResult {
-    run_version_inner(
-        driver,
-        EngineMode::from_env(),
-        nprocs,
-        params,
-        version,
-        false,
-        false,
-        false,
-    )
-    .0
+    run_version_inner(driver, nprocs, params, version, false, false, false).0
 }
 
-/// [`run_version_with`] pinning the time-advance engine explicitly —
-/// the in-process cross-engine differential oracle
-/// ([`EngineMode::Cycle`] checks [`EngineMode::Event`]).
-pub fn run_version_engine(
-    driver: PhaseDriver,
-    engine: EngineMode,
-    nprocs: u32,
-    params: Em3dParams,
-    version: Version,
-) -> Em3dResult {
-    run_version_inner(driver, engine, nprocs, params, version, false, false, false).0
-}
-
-/// [`run_version_profiled`] pinning the time-advance engine explicitly,
-/// so attribution ledgers can be compared across engines in one
-/// process.
-pub fn run_version_profiled_engine(
-    driver: PhaseDriver,
-    engine: EngineMode,
-    nprocs: u32,
-    params: Em3dParams,
-    version: Version,
-) -> (Em3dResult, PerfReport) {
-    let (r, p, _) = run_version_inner(driver, engine, nprocs, params, version, true, false, false);
-    (r, p.expect("profiling was requested"))
-}
-
-/// [`run_version_profiled_engine`] with the opt-in contention models
-/// enabled (target-shell queueing plus per-link occupancy on every
-/// dimension-order route, as in
-/// [`MachineConfig::t3d_link_contended`]). The contended arm of the
-/// `t3d-perf scale` sweep; values still verify against the host
-/// reference — contention reshapes time, never data.
+/// [`run_version_profiled`] with the opt-in contention models enabled
+/// (target-shell queueing plus per-link occupancy on every
+/// dimension-order route, as in [`MachineConfig::t3d_link_contended`]).
+/// The contended arm of the `t3d-perf scale` sweep; values still verify
+/// against the host reference — contention reshapes time, never data.
+///
+/// `_engine` is ignored: the machine has one time-advance engine. The
+/// parameter is kept only so the frozen `perfbench` harness compiles
+/// unchanged (see [`EngineMode`]).
 pub fn run_version_profiled_contended(
     driver: PhaseDriver,
-    engine: EngineMode,
+    _engine: EngineMode,
     nprocs: u32,
     params: Em3dParams,
     version: Version,
 ) -> (Em3dResult, PerfReport) {
-    let (r, p, _) = run_version_inner(driver, engine, nprocs, params, version, true, false, true);
+    let (r, p, _) = run_version_inner(driver, nprocs, params, version, true, false, true);
     (r, p.expect("profiling was requested"))
 }
 
@@ -530,16 +496,7 @@ pub fn run_version_recorded(
     params: Em3dParams,
     version: Version,
 ) -> (Em3dResult, Vec<Vec<RecEvent>>) {
-    let (r, _, log) = run_version_inner(
-        driver,
-        EngineMode::from_env(),
-        nprocs,
-        params,
-        version,
-        false,
-        true,
-        false,
-    );
+    let (r, _, log) = run_version_inner(driver, nprocs, params, version, false, true, false);
     (r, log)
 }
 
@@ -554,23 +511,12 @@ pub fn run_version_profiled(
     params: Em3dParams,
     version: Version,
 ) -> (Em3dResult, PerfReport) {
-    let (r, p, _) = run_version_inner(
-        driver,
-        EngineMode::from_env(),
-        nprocs,
-        params,
-        version,
-        true,
-        false,
-        false,
-    );
+    let (r, p, _) = run_version_inner(driver, nprocs, params, version, true, false, false);
     (r, p.expect("profiling was requested"))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_version_inner(
     driver: PhaseDriver,
-    engine: EngineMode,
     nprocs: u32,
     params: Em3dParams,
     version: Version,
@@ -580,7 +526,6 @@ fn run_version_inner(
 ) -> (Em3dResult, Option<PerfReport>, Vec<Vec<RecEvent>>) {
     let g = Em3dGraph::generate(params, nprocs);
     let mut cfg = MachineConfig::t3d_with_mem(nprocs, 4 * 1024 * 1024);
-    cfg.engine = engine;
     if contended {
         cfg.contention = true;
         cfg.link_contention = true;

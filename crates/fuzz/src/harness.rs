@@ -10,7 +10,8 @@
 //! diagnostic is a finding).
 //!
 //! [`check_case`] is the oracle: Seq and Par drivers must agree
-//! bit-identically on memory, clocks and results; both must agree with
+//! bit-identically on memory, clocks, results, operation counters and
+//! cycle-attribution ledgers; both must agree with
 //! the flat reference model's memory at every barrier and its predicted
 //! results; and the sanitizer report must be empty. The optional
 //! [`Fault`] flips one byte of the Par run's settled memory — exactly
@@ -22,9 +23,7 @@ use crate::refmodel::{interpret, RefOutcome};
 use splitc::{SplitC, SplitcConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
-use t3d_machine::{
-    EngineMode, MachineConfig, MemSnapshot, OpStats, PerfMode, PerfReport, PhaseDriver,
-};
+use t3d_machine::{MachineConfig, MemSnapshot, OpStats, PerfMode, PerfReport, PhaseDriver};
 use t3dsan::SanitizeMode;
 
 /// Fault injection: after phase `phase`'s terminator (clamped to the
@@ -37,24 +36,6 @@ pub struct Fault {
     pub pe: usize,
     /// Byte offset within the region (mod the region size).
     pub off: u64,
-}
-
-/// Event-schedule fault injection: before phase `phase`'s body runs
-/// (clamped to the last phase), arm a due-time skew on one PE's next
-/// event. The event engine consumes at least one `BarrierSettle` per PE
-/// at the phase terminator, so the skew is guaranteed to fire by then,
-/// stretching that PE's clock — which the engine-matrix oracle must
-/// catch as a snapshot divergence. Inert under the cycle engine (there
-/// is no queue to skew), which is exactly why detection proves the
-/// differential bites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventSkew {
-    /// Phase before whose body the skew is armed.
-    pub phase: usize,
-    /// Node whose next event is delayed (mod `nodes`).
-    pub pe: usize,
-    /// Cycles of delay. Large values make the divergence unmissable.
-    pub extra_cy: u64,
 }
 
 /// What one execution produced.
@@ -71,8 +52,8 @@ pub struct RunRecord {
     pub base: u64,
     /// Per-PE operation counters at program end.
     pub ops: Vec<OpStats>,
-    /// The cycle-attribution report (collected on every run; the
-    /// engine-matrix oracle compares ledgers bit-for-bit).
+    /// The cycle-attribution report (collected on every run; the oracle
+    /// compares Seq and Par ledgers bit-for-bit).
     pub perf: PerfReport,
 }
 
@@ -84,21 +65,7 @@ pub fn run_program(
     driver: PhaseDriver,
     fault: Option<Fault>,
 ) -> Result<RunRecord, String> {
-    run_program_engine(prog, driver, EngineMode::from_env(), fault, None)
-}
-
-/// [`run_program`] with the time-advance engine pinned and an optional
-/// [`EventSkew`] (the engine-matrix self-test hook).
-pub fn run_program_engine(
-    prog: &Program,
-    driver: PhaseDriver,
-    engine: EngineMode,
-    fault: Option<Fault>,
-    skew: Option<EventSkew>,
-) -> Result<RunRecord, String> {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        run_program_inner(prog, driver, engine, fault, skew)
-    }));
+    let result = catch_unwind(AssertUnwindSafe(|| run_program_inner(prog, driver, fault)));
     result.map_err(|payload| {
         if let Some(s) = payload.downcast_ref::<&str>() {
             (*s).to_string()
@@ -110,21 +77,13 @@ pub fn run_program_engine(
     })
 }
 
-fn run_program_inner(
-    prog: &Program,
-    driver: PhaseDriver,
-    engine: EngineMode,
-    fault: Option<Fault>,
-    skew: Option<EventSkew>,
-) -> RunRecord {
+fn run_program_inner(prog: &Program, driver: PhaseDriver, fault: Option<Fault>) -> RunRecord {
     let n = prog.nodes as usize;
     let cfg = SplitcConfig {
         sanitize: SanitizeMode::Collect,
         ..SplitcConfig::t3d()
     };
-    let mut mcfg = MachineConfig::t3d(prog.nodes);
-    mcfg.engine = engine;
-    let mut sc = SplitC::with_config(mcfg, cfg);
+    let mut sc = SplitC::with_config(MachineConfig::t3d(prog.nodes), cfg);
     sc.machine().set_perf_mode(PerfMode::Counters);
     let base = sc.alloc(prog.region_bytes(), 8);
     let lowered = prog.lower(base);
@@ -132,11 +91,6 @@ fn run_program_inner(
     let mut snaps = Vec::with_capacity(lowered.len());
     let last = lowered.len().saturating_sub(1);
     for (i, phase) in lowered.iter().enumerate() {
-        if let Some(k) = skew {
-            if i == k.phase.min(last) {
-                sc.machine().perturb_next_event(k.pe % n, k.extra_cy);
-            }
-        }
         let terminator = match phase {
             LoweredPhase::Sharded { ops, terminator } => {
                 sc.par_phase_with(driver, |ctx| {
@@ -215,22 +169,19 @@ fn ref_mismatch(snap: &MemSnapshot, ref_mem: &[Vec<u64>]) -> Option<String> {
 pub fn check_case(prog: &Program, threads: usize, fault: Option<Fault>) -> Option<String> {
     let seq = run_program(prog, PhaseDriver::Seq, None);
     let par = run_program(prog, PhaseDriver::Par(threads), fault);
-    let (seq, par) = match (seq, par) {
-        (Err(e), _) => return Some(format!("panic under Seq driver: {e}")),
-        (_, Err(e)) => return Some(format!("panic under Par driver: {e}")),
-        (Ok(s), Ok(p)) => (s, p),
-    };
-    // (a) Seq and Par are bit-identical: memory, virtual time, results.
-    for (i, (a, b)) in seq.snaps.iter().zip(&par.snaps).enumerate() {
-        if let Some(d) = a.diff(b) {
-            return Some(format!("Seq/Par divergence at phase {i}: {d}"));
-        }
+    match (seq, par) {
+        (Err(e), _) => Some(format!("panic under Seq driver: {e}")),
+        (_, Err(e)) => Some(format!("panic under Par driver: {e}")),
+        (Ok(seq), Ok(par)) => check_runs(prog, &seq, &par),
     }
-    if seq.results != par.results {
-        return Some(format!(
-            "Seq/Par result divergence: {:?} vs {:?}",
-            seq.results, par.results
-        ));
+}
+
+/// The oracle over one Seq and one Par run of `prog`.
+fn check_runs(prog: &Program, seq: &RunRecord, par: &RunRecord) -> Option<String> {
+    // (a) Seq and Par are bit-identical: memory, virtual time, results,
+    // op counters, attribution ledgers, sanitizer findings.
+    if let Some(d) = record_divergence(seq, par) {
+        return Some(d);
     }
     // (b) Both agree with the flat reference model at every barrier.
     let RefOutcome {
@@ -272,78 +223,47 @@ pub fn check_case(prog: &Program, threads: usize, fault: Option<Fault>) -> Optio
     None
 }
 
-/// The first divergence between two run records, or `None` if they are
+/// The first divergence between a Seq and a Par run, or `None` if they are
 /// bit-identical in every compared dimension: snapshots (memory AND
 /// virtual clocks), op results, per-PE operation counters, the full
 /// attribution report, and the sanitizer findings.
-fn record_divergence(label: &str, a: &RunRecord, b: &RunRecord) -> Option<String> {
+fn record_divergence(a: &RunRecord, b: &RunRecord) -> Option<String> {
     for (i, (x, y)) in a.snaps.iter().zip(&b.snaps).enumerate() {
         if let Some(d) = x.diff(y) {
-            return Some(format!("{label}: snapshot divergence at phase {i}: {d}"));
+            return Some(format!("Seq/Par: snapshot divergence at phase {i}: {d}"));
         }
     }
     if a.snaps.len() != b.snaps.len() {
         return Some(format!(
-            "{label}: phase count {} vs {}",
+            "Seq/Par: phase count {} vs {}",
             a.snaps.len(),
             b.snaps.len()
         ));
     }
     if a.results != b.results {
         return Some(format!(
-            "{label}: result divergence: {:?} vs {:?}",
+            "Seq/Par: result divergence: {:?} vs {:?}",
             a.results, b.results
         ));
     }
     if a.ops != b.ops {
         return Some(format!(
-            "{label}: op-counter divergence: {:?} vs {:?}",
+            "Seq/Par: op-counter divergence: {:?} vs {:?}",
             a.ops, b.ops
         ));
     }
     if a.perf != b.perf {
-        return Some(format!("{label}: attribution ledgers diverge"));
+        let at = match a.perf.pes.iter().zip(&b.perf.pes).position(|(x, y)| x != y) {
+            Some(pe) => format!("PE {pe}"),
+            None => "the phase or registry records".to_string(),
+        };
+        return Some(format!("Seq/Par: attribution ledgers diverge at {at}"));
     }
     if a.san != b.san {
         return Some(format!(
-            "{label}: sanitizer divergence: {:?} vs {:?}",
+            "Seq/Par: sanitizer divergence: {:?} vs {:?}",
             a.san, b.san
         ));
-    }
-    None
-}
-
-/// The engine-matrix oracle: one program under every combination of
-/// time-advance engine (cycle, event) and phase driver (Seq,
-/// Par(`threads`)), all four runs compared bit-for-bit against the
-/// cycle/Seq baseline — snapshots (memory and clocks), results, op
-/// counters, attribution ledgers and sanitizer reports. `skew` arms an
-/// event due-time perturbation on the event-engine runs only (the
-/// self-test; the cycle baseline stays clean so the divergence is
-/// attributable). Returns `None` when all four runs agree.
-pub fn check_case_engine_matrix(
-    prog: &Program,
-    threads: usize,
-    skew: Option<EventSkew>,
-) -> Option<String> {
-    let baseline = match run_program_engine(prog, PhaseDriver::Seq, EngineMode::Cycle, None, None) {
-        Err(e) => return Some(format!("panic under cycle/Seq: {e}")),
-        Ok(r) => r,
-    };
-    let legs = [
-        (PhaseDriver::Par(threads), EngineMode::Cycle, None),
-        (PhaseDriver::Seq, EngineMode::Event, skew),
-        (PhaseDriver::Par(threads), EngineMode::Event, skew),
-    ];
-    for (driver, engine, leg_skew) in legs {
-        let label = format!("{engine:?}/{driver:?}");
-        let run = match run_program_engine(prog, driver, engine, None, leg_skew) {
-            Err(e) => return Some(format!("panic under {label}: {e}")),
-            Ok(r) => r,
-        };
-        if let Some(d) = record_divergence(&label, &baseline, &run) {
-            return Some(d);
-        }
     }
     None
 }
@@ -352,6 +272,7 @@ pub fn check_case_engine_matrix(
 mod tests {
     use super::*;
     use crate::program::{Action, ActionKind, Cell, Phase, PhaseKind, Terminator};
+    use t3d_machine::CostClass;
 
     fn two_phase_prog() -> Program {
         Program {
@@ -432,30 +353,15 @@ mod tests {
     }
 
     #[test]
-    fn the_engine_matrix_passes_on_a_clean_program() {
-        assert_eq!(check_case_engine_matrix(&two_phase_prog(), 2, None), None);
-    }
-
-    #[test]
-    fn a_skewed_event_due_time_is_caught() {
-        let skew = EventSkew {
-            phase: 0,
-            pe: 1,
-            extra_cy: 1 << 20,
-        };
-        let failure = check_case_engine_matrix(&two_phase_prog(), 2, Some(skew));
-        let msg = failure.expect("a skewed due-time must be detected");
-        assert!(msg.contains("Event"), "{msg}");
-    }
-
-    #[test]
-    fn engine_runs_agree_with_the_default_oracle_view() {
-        // run_program (env engine) and the pinned-engine runs land on
-        // the same snapshots — the engine is invisible to timing.
+    fn a_one_cycle_ledger_difference_is_caught() {
         let p = two_phase_prog();
-        let a = run_program_engine(&p, PhaseDriver::Seq, EngineMode::Cycle, None, None).unwrap();
-        let b = run_program_engine(&p, PhaseDriver::Seq, EngineMode::Event, None, None).unwrap();
-        assert!(record_divergence("test", &a, &b).is_none());
+        let seq = run_program(&p, PhaseDriver::Seq, None).unwrap();
+        let mut par = run_program(&p, PhaseDriver::Par(2), None).unwrap();
+        assert_eq!(check_runs(&p, &seq, &par), None);
+        par.perf.pes[1].ledger.add(CostClass::AckWait, 1);
+        let msg = check_runs(&p, &seq, &par).expect("a one-cycle ledger skew must be caught");
+        assert!(msg.contains("attribution ledgers diverge"), "{msg}");
+        assert!(msg.contains("at PE 1"), "{msg}");
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!
 //! 1. **Seq vs Par**: the same program under [`PhaseDriver::Seq`] and
 //!    `PhaseDriver::Par(n)` must produce bit-identical memory, virtual
-//!    clocks and results at every barrier (the phase engine's merge
-//!    determinism contract).
+//!    clocks and results at every barrier, and identical operation
+//!    counters and cycle-attribution ledgers at the end (the phase
+//!    engine's merge determinism contract).
 //! 2. **Machine vs reference**: both must match [`refmodel`], a
 //!    flat per-PE word-array interpreter with none of the runtime's
 //!    machinery — if they disagree at a barrier, a mechanism broke.
@@ -39,17 +40,14 @@ pub mod refmodel;
 pub mod shrink;
 
 pub use genprog::gen_program;
-pub use harness::{
-    check_case, check_case_engine_matrix, run_program, run_program_engine, EventSkew, Fault,
-    RunRecord,
-};
+pub use harness::{check_case, run_program, Fault, RunRecord};
 pub use lintbridge::{lint_case, lint_program};
 pub use mutate::{inject, Mutation};
 pub use program::{
     Action, ActionKind, Cell, LoweredPhase, Phase, PhaseKind, Program, Terminator, WORD,
 };
 pub use refmodel::{interpret, RefOutcome};
-pub use shrink::{shrink, shrink_with, DEFAULT_BUDGET};
+pub use shrink::{shrink, DEFAULT_BUDGET};
 
 use t3d_prng::Rng;
 
@@ -102,19 +100,6 @@ pub fn fault_for_seed(seed: u64) -> Fault {
         phase: rng.gen_range(0u64..8) as usize,
         pe: rng.gen_range(0u64..8) as usize,
         off: rng.gen_range(0u64..4096),
-    }
-}
-
-/// The deterministic event-skew a seed denotes for `--inject-skew`
-/// runs: phase and PE from a stream decorrelated from both the
-/// program's and the byte-fault's, with a delay large enough that the
-/// stretched clock cannot be mistaken for timing noise.
-pub fn skew_for_seed(seed: u64) -> EventSkew {
-    let mut rng = Rng::seed_from_u64(seed ^ 0x5CE3_5CE3_5CE3_5CE3);
-    EventSkew {
-        phase: rng.gen_range(0u64..8) as usize,
-        pe: rng.gen_range(0u64..8) as usize,
-        extra_cy: 1 << 20,
     }
 }
 

@@ -2,26 +2,18 @@
 //!
 //! ```text
 //! t3d-fuzz [--cases N] [--seed S] [--threads T] [--out DIR]
-//!          [--engine-matrix] [--inject-fault] [--inject-skew]
+//!          [--inject-fault]
 //! ```
 //!
 //! Runs `N` generated programs through the full differential oracle
-//! (Seq driver vs Par driver vs flat reference model vs sanitizer).
+//! (Seq driver vs Par driver — memory, clocks, results, op counters and
+//! attribution ledgers — vs flat reference model vs sanitizer).
 //! Failures are shrunk and written to `DIR` as self-contained
 //! reproducers; the exit code is the failure count (clamped to 1).
-//!
-//! `--engine-matrix` additionally runs every case under the full
-//! engine × driver matrix — cycle and event time-advance engines, each
-//! under the Seq and Par drivers — asserting bit-identical snapshots
-//! (memory and clocks), results, op counters and attribution ledgers
-//! across all four runs.
 //!
 //! `--inject-fault` is the self-test: it flips one byte of the Par
 //! run's settled memory, requires the oracle to catch it, shrinks the
 //! case and fails unless the reproducer lowers to at most 12 ops.
-//! `--inject-skew` is the engine-matrix analogue: it delays one event's
-//! due-time in the event-engine runs and requires the matrix oracle to
-//! catch the stretched clock.
 
 #![forbid(unsafe_code)]
 
@@ -30,8 +22,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use t3d_fuzz::{
-    case_seed, check_case, check_case_engine_matrix, fault_for_seed, parse_seed, program_for_seed,
-    shrink, shrink_with, skew_for_seed, Program, DEFAULT_BUDGET,
+    case_seed, check_case, fault_for_seed, parse_seed, program_for_seed, shrink, Program,
+    DEFAULT_BUDGET,
 };
 
 struct Args {
@@ -39,9 +31,7 @@ struct Args {
     seed: u64,
     threads: usize,
     out: PathBuf,
-    engine_matrix: bool,
     inject_fault: bool,
-    inject_skew: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -50,9 +40,7 @@ fn parse_args() -> Result<Args, String> {
         seed: 0x7E3D,
         threads: 3,
         out: PathBuf::from("target/fuzz-reproducers"),
-        engine_matrix: false,
         inject_fault: false,
-        inject_skew: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -73,13 +61,10 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--out" => args.out = PathBuf::from(value("--out")?),
-            "--engine-matrix" => args.engine_matrix = true,
             "--inject-fault" => args.inject_fault = true,
-            "--inject-skew" => args.inject_skew = true,
             "--help" | "-h" => {
                 println!(
-                    "t3d-fuzz [--cases N] [--seed S] [--threads T] [--out DIR] \
-                     [--engine-matrix] [--inject-fault] [--inject-skew]"
+                    "t3d-fuzz [--cases N] [--seed S] [--threads T] [--out DIR] [--inject-fault]"
                 );
                 std::process::exit(0);
             }
@@ -160,25 +145,10 @@ fn run_fuzz(args: &Args) -> ExitCode {
         for name in kind_name(&prog) {
             *histogram.entry(name).or_default() += 1;
         }
-        let failure = check_case(&prog, args.threads, None).or_else(|| {
-            if args.engine_matrix {
-                check_case_engine_matrix(&prog, args.threads, None)
-            } else {
-                None
-            }
-        });
-        if let Some(why) = failure {
+        if let Some(why) = check_case(&prog, args.threads, None) {
             failures += 1;
             eprintln!("case {i} (seed {seed:#x}) FAILED: {why}");
-            let threads = args.threads;
-            let small = if args.engine_matrix {
-                shrink_with(&prog, DEFAULT_BUDGET, &|cand| {
-                    check_case(cand, threads, None).is_some()
-                        || check_case_engine_matrix(cand, threads, None).is_some()
-                })
-            } else {
-                shrink(&prog, threads, None, DEFAULT_BUDGET)
-            };
+            let small = shrink(&prog, args.threads, None, DEFAULT_BUDGET);
             let why_small = check_case(&small, args.threads, None).unwrap_or_else(|| why.clone());
             let path = save_reproducer(&args.out, seed, &small, &why_small);
             eprintln!(
@@ -190,16 +160,8 @@ fn run_fuzz(args: &Args) -> ExitCode {
         }
     }
     println!(
-        "t3d-fuzz: {} cases, seed {:#x}, {} threads{}, {} failure(s)",
-        args.cases,
-        args.seed,
-        args.threads,
-        if args.engine_matrix {
-            ", engine matrix"
-        } else {
-            ""
-        },
-        failures
+        "t3d-fuzz: {} cases, seed {:#x}, {} threads, {} failure(s)",
+        args.cases, args.seed, args.threads, failures
     );
     let covered = histogram.len();
     let actions: usize = histogram.values().sum();
@@ -247,39 +209,6 @@ fn run_inject_fault(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_inject_skew(args: &Args) -> ExitCode {
-    let seed = case_seed(args.seed, 0);
-    let prog = program_for_seed(seed);
-    let skew = skew_for_seed(seed);
-    println!(
-        "self-test: delaying one event by {} cycles before phase {} on PE {} (seed {seed:#x})",
-        skew.extra_cy, skew.phase, skew.pe
-    );
-    let Some(why) = check_case_engine_matrix(&prog, args.threads, Some(skew)) else {
-        eprintln!("self-test FAILED: the skewed event due-time was not detected");
-        return ExitCode::FAILURE;
-    };
-    println!("caught: {why}");
-    let threads = args.threads;
-    let small = shrink_with(&prog, DEFAULT_BUDGET, &|cand| {
-        check_case_engine_matrix(cand, threads, Some(skew)).is_some()
-    });
-    let ops: usize = small
-        .lower(region_base(&small))
-        .iter()
-        .map(|p| p.op_count())
-        .sum();
-    println!("{}", small.render_reproducer(seed, region_base(&small)));
-    let path = save_reproducer(&args.out, seed, &small, &why);
-    println!("self-test reproducer saved to {}", path.display());
-    if ops > 12 {
-        eprintln!("self-test FAILED: shrunk reproducer has {ops} lowered ops (> 12)");
-        return ExitCode::FAILURE;
-    }
-    println!("self-test OK: shrunk to {ops} lowered ops");
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -291,8 +220,6 @@ fn main() -> ExitCode {
     hush_panics();
     if args.inject_fault {
         run_inject_fault(&args)
-    } else if args.inject_skew {
-        run_inject_skew(&args)
     } else {
         run_fuzz(&args)
     }

@@ -22,16 +22,6 @@ pub const DEFAULT_BUDGET: usize = 400;
 /// failing. Returns the smallest failing program found within `budget`
 /// oracle calls.
 pub fn shrink(prog: &Program, threads: usize, fault: Option<Fault>, budget: usize) -> Program {
-    shrink_with(prog, budget, &|cand| {
-        check_case(cand, threads, fault).is_some()
-    })
-}
-
-/// [`shrink`] against an arbitrary failure oracle — the engine-matrix
-/// mode shrinks against its own four-way differential, other callers
-/// against [`check_case`]. `oracle` returns `true` while the candidate
-/// still fails.
-pub fn shrink_with(prog: &Program, budget: usize, oracle: &dyn Fn(&Program) -> bool) -> Program {
     let mut best = prog.clone();
     let mut calls = budget;
     let still_fails = |cand: &Program, calls: &mut usize| -> bool {
@@ -39,7 +29,7 @@ pub fn shrink_with(prog: &Program, budget: usize, oracle: &dyn Fn(&Program) -> b
             return false;
         }
         *calls -= 1;
-        oracle(cand)
+        check_case(cand, threads, fault).is_some()
     };
     loop {
         let before = size_of(&best);

@@ -1,6 +1,5 @@
 //! Whole-machine configuration.
 
-use crate::event::EngineMode;
 use t3d_memsys::MemConfig;
 use t3d_shell::{ReceiveMode, ShellConfig};
 use t3d_torus::TorusConfig;
@@ -30,10 +29,20 @@ pub struct MachineConfig {
     /// What happens when a native message arrives: queue it (25 µs
     /// interrupt) or additionally switch to a user handler (+33 µs).
     pub msg_mode: ReceiveMode,
-    /// Which time-advance engine the machine runs. Constructors read
-    /// `T3D_EVENT` (the event engine unless `T3D_EVENT=0`); tests set
-    /// the field directly to pin a mode regardless of the environment.
-    pub engine: EngineMode,
+}
+
+/// The machine's time-advance engine. There is one: every wait computes
+/// its cost in closed form and advances the clock once.
+///
+/// Kept only so the frozen `perfbench` harness, which passes
+/// `ExecEnv::default().engine` through one EM3D entry point, compiles
+/// unchanged; nothing reads the value. A later benchmark change drops
+/// it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum EngineMode {
+    /// The closed-form cycle engine.
+    #[default]
+    Cycle,
 }
 
 impl MachineConfig {
@@ -46,7 +55,6 @@ impl MachineConfig {
             contention: false,
             link_contention: false,
             msg_mode: ReceiveMode::Queue,
-            engine: EngineMode::from_env(),
         }
     }
 
@@ -84,7 +92,6 @@ impl MachineConfig {
             contention: false,
             link_contention: false,
             msg_mode: ReceiveMode::Queue,
-            engine: EngineMode::from_env(),
         }
     }
 

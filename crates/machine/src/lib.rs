@@ -33,7 +33,6 @@
 
 pub mod config;
 pub mod cpu;
-pub mod event;
 pub mod machine;
 pub mod node;
 pub mod ops;
@@ -42,9 +41,8 @@ pub mod snapshot;
 pub mod spmd;
 pub mod trace;
 
-pub use config::MachineConfig;
+pub use config::{EngineMode, MachineConfig};
 pub use cpu::Cpu;
-pub use event::{EngineMode, Event, EventKind, EventQueue, EventStats};
 pub use machine::{BltHandle, Machine, MachineSizeError};
 pub use node::{Node, NodeHot, OpStats};
 pub use ops::MachineOps;

@@ -2,7 +2,6 @@
 //! deterministic virtual time.
 
 use crate::config::MachineConfig;
-use crate::event::{self, EngineMode, EventStats};
 use crate::node::{Node, NodeHot};
 use crate::phase::EffectLogs;
 use crate::trace::{TraceEvent, TraceKind, Tracer};
@@ -13,7 +12,7 @@ use t3d_perf::{
 };
 use t3d_shell::blt::BltDirection;
 use t3d_shell::{AnnexEntry, BarrierUnit, FuncCode, Message, PopError};
-use t3d_torus::{subcube, Torus};
+use t3d_torus::Torus;
 
 /// Cycles a transfer of `bytes` occupies each link of its route: the
 /// T3D moves two bytes per link per cycle, and even a one-byte request
@@ -21,12 +20,6 @@ use t3d_torus::{subcube, Torus};
 pub(crate) fn link_occupancy_cy(bytes: u64) -> u64 {
     bytes.div_ceil(2).max(1)
 }
-
-/// Sub-cube granularity of the contention-window scan: PEs are grouped
-/// into canonical torus sub-cubes of (at most) this many PEs, and a
-/// contended window triggers the cycle-accurate fallback only for the
-/// sub-cube whose PEs are actually coupled.
-const CONTENTION_BLOCK_PES: usize = 8;
 
 /// Error from [`Machine::try_new`]: the torus construction and the
 /// sub-cube machinery (shard partition, buddy allocation) require a
@@ -66,16 +59,12 @@ pub struct Machine {
     torus: Torus,
     nodes: Vec<Node>,
     /// Struct-of-arrays hot state: one small record per PE (clock, shell
-    /// occupancy, in-flight mirrors) so the whole-machine scans stay on
-    /// contiguous cache lines.
+    /// occupancy) so the whole-machine scans stay on contiguous cache
+    /// lines.
     hot: Vec<NodeHot>,
     /// Per-directed-link occupancy-until clocks (indexed by
     /// [`Torus::link_id`]); all zero unless `cfg.link_contention`.
     link_busy: Vec<u64>,
-    /// Contention-window sub-cube of each PE.
-    block_of: Vec<u32>,
-    /// PEs of each contention-window sub-cube, in canonical order.
-    block_pes: Vec<Vec<u32>>,
     barrier: BarrierUnit,
     tracer: Tracer,
     perf_mode: PerfMode,
@@ -110,22 +99,10 @@ impl Machine {
         }
         let torus = Torus::new(cfg.torus);
         let n = torus.nodes();
-        let blocks = subcube::partition(cfg.torus.dims, (n as usize / CONTENTION_BLOCK_PES).max(1));
-        let mut block_of = vec![0u32; n as usize];
-        let mut block_pes = Vec::with_capacity(blocks.len());
-        for (bi, b) in blocks.iter().enumerate() {
-            let pes: Vec<u32> = b.coords().into_iter().map(|c| torus.node_of(c)).collect();
-            for &pe in &pes {
-                block_of[pe as usize] = bi as u32;
-            }
-            block_pes.push(pes);
-        }
         let mut m = Machine {
             nodes: (0..n).map(|pe| Node::new(&cfg, pe)).collect(),
             hot: vec![NodeHot::default(); n as usize],
             link_busy: vec![0; torus.num_links()],
-            block_of,
-            block_pes,
             barrier: BarrierUnit::new(&cfg.shell, n as usize),
             torus,
             cfg,
@@ -245,67 +222,6 @@ impl Machine {
                 cycles,
             });
         }
-    }
-
-    /// Whether `pe`'s next wait takes the skip-to-next-event path: the
-    /// event engine is selected and no contended window is in progress
-    /// in `pe`'s sub-cube.
-    fn use_event_path(&self, pe: usize) -> bool {
-        self.cfg.engine == EngineMode::Event && !self.contended_window(pe)
-    }
-
-    /// A contended window: contention modeling is on and ≥2 PEs of
-    /// `pe`'s sub-cube have in-flight remote traffic (pending buffered
-    /// writes or outstanding acks), so shell or link queueing can couple
-    /// their timing through shared state. Conservative — any such window
-    /// runs cycle-accurate. The scan reads the [`NodeHot`] in-flight
-    /// mirrors (contiguous, a few words per PE) and is regional: a
-    /// contended sub-cube on one corner of a 1024-PE machine does not
-    /// knock the opposite corner off the event path.
-    fn contended_window(&self, pe: usize) -> bool {
-        if !(self.cfg.contention || self.cfg.link_contention) {
-            return false;
-        }
-        let pes = &self.block_pes[self.block_of[pe] as usize];
-        debug_assert!(
-            pes.iter().all(|&p| {
-                let n = &self.nodes[p as usize];
-                self.hot[p as usize].inflight()
-                    == (n.port.wbuf_pending() > 0 || n.acks.clear_time().is_some())
-            }),
-            "hot in-flight mirror out of sync with node units"
-        );
-        pes.iter()
-            .filter(|&&p| self.hot[p as usize].inflight())
-            .count()
-            >= 2
-    }
-
-    /// Re-syncs `pe`'s hot in-flight mirrors from the authoritative
-    /// units. Called wherever the write buffer or ack tracker can change
-    /// population.
-    fn sync_inflight(&mut self, pe: usize) {
-        let n = &self.nodes[pe];
-        let h = &mut self.hot[pe];
-        h.wbuf_pending = n.port.wbuf_pending() as u32;
-        h.acks_inflight = n.acks.clear_time().is_some();
-    }
-
-    /// Event-engine activity counters for one PE (both zero under the
-    /// cycle engine).
-    pub fn event_stats(&self, pe: usize) -> EventStats {
-        self.nodes[pe].events.stats
-    }
-
-    /// Fault-injection hook for the differential harness: the next event
-    /// the PE pops is due `extra_cy` cycles late. Under the event engine
-    /// this perturbs virtual time — every barrier consumes a settle
-    /// event per PE, so an armed skew always fires — and the engine
-    /// matrix must catch the divergence. A no-op under the cycle engine
-    /// (nothing pops events), which is exactly the point: only a
-    /// *detected* difference proves the oracle bites.
-    pub fn perturb_next_event(&mut self, pe: usize, extra_cy: u64) {
-        self.nodes[pe].events.skew_next(extra_cy);
     }
 
     /// Queueing delay at `target`'s shell for a request that becomes
@@ -581,13 +497,8 @@ impl Machine {
     pub fn memory_barrier(&mut self, pe: usize) {
         self.nodes[pe].ops.memory_barriers += 1;
         let now = self.hot[pe].clock;
-        let cost = if self.use_event_path(pe) {
-            event::memory_barrier_event(&mut self.hot[pe], &mut self.nodes[pe])
-        } else {
-            let c = self.nodes[pe].port.memory_barrier(now);
-            self.hot[pe].clock = now + c;
-            c
-        };
+        let cost = self.nodes[pe].port.memory_barrier(now);
+        self.hot[pe].clock = now + cost;
         self.nodes[pe].perf.sample(OpKind::Fence, cost);
         let t = self.hot[pe].clock;
         self.nodes[pe].prefetch.note_memory_barrier(t);
@@ -603,7 +514,6 @@ impl Machine {
         let (clear, cost) = self.nodes[pe].acks.poll(now);
         self.hot[pe].clock = now + cost;
         self.nodes[pe].perf.credit(CostClass::AckWait, cost);
-        self.sync_inflight(pe);
         self.trace(pe, TraceKind::StatusPoll, 0, now);
         clear
     }
@@ -613,15 +523,9 @@ impl Machine {
     pub fn wait_write_acks(&mut self, pe: usize) {
         self.nodes[pe].ops.ack_waits += 1;
         let now = self.hot[pe].clock;
-        let cost = if self.use_event_path(pe) {
-            event::wait_write_acks_event(&mut self.hot[pe], &mut self.nodes[pe])
-        } else {
-            let c = self.nodes[pe].acks.wait_clear(now);
-            self.hot[pe].clock = now + c;
-            self.nodes[pe].perf.credit(CostClass::AckWait, c);
-            c
-        };
-        self.sync_inflight(pe);
+        let cost = self.nodes[pe].acks.wait_clear(now);
+        self.hot[pe].clock = now + cost;
+        self.nodes[pe].perf.credit(CostClass::AckWait, cost);
         self.nodes[pe].perf.sample(OpKind::AckWait, cost);
         self.trace(pe, TraceKind::AckWait, 0, now);
     }
@@ -649,7 +553,6 @@ impl Machine {
             self.nodes[target].incoming.push((arrival, bytes));
             self.nodes[pe].acks.expect_ack(ack);
         }
-        self.sync_inflight(pe);
     }
 
     // ------------------------------------------------------------------
@@ -695,7 +598,6 @@ impl Machine {
                     false
                 }
             };
-        self.hot[pe].prefetch_outstanding = self.nodes[pe].prefetch.outstanding() as u32;
         self.trace(pe, TraceKind::Fetch(target as u32), va, now);
         issued
     }
@@ -711,15 +613,9 @@ impl Machine {
     pub fn pop_prefetch(&mut self, pe: usize) -> Result<u64, PopError> {
         self.nodes[pe].ops.pops += 1;
         let now = self.hot[pe].clock;
-        let (value, cost) = if self.use_event_path(pe) {
-            event::pop_prefetch_event(&mut self.hot[pe], &mut self.nodes[pe])?
-        } else {
-            let (v, c) = self.nodes[pe].prefetch.pop(now)?;
-            self.hot[pe].clock = now + c;
-            self.nodes[pe].perf.credit(CostClass::PrefetchWait, c);
-            (v, c)
-        };
-        self.hot[pe].prefetch_outstanding = self.nodes[pe].prefetch.outstanding() as u32;
+        let (value, cost) = self.nodes[pe].prefetch.pop(now)?;
+        self.hot[pe].clock = now + cost;
+        self.nodes[pe].perf.credit(CostClass::PrefetchWait, cost);
         self.nodes[pe].perf.sample(OpKind::Pop, cost);
         self.trace(pe, TraceKind::Pop, 0, now);
         Ok(value)
@@ -863,15 +759,10 @@ impl Machine {
     /// Blocks until a BLT transfer completes.
     pub fn blt_wait(&mut self, pe: usize, handle: BltHandle) {
         let now = self.hot[pe].clock;
-        let waited = if self.use_event_path(pe) {
-            event::blt_wait_event(&mut self.hot[pe], &mut self.nodes[pe], handle.completion)
-        } else {
-            let h = &mut self.hot[pe];
-            h.clock = h.clock.max(handle.completion);
-            let w = h.clock - now;
-            self.nodes[pe].perf.credit(CostClass::BltWait, w);
-            w
-        };
+        let h = &mut self.hot[pe];
+        h.clock = h.clock.max(handle.completion);
+        let waited = h.clock - now;
+        self.nodes[pe].perf.credit(CostClass::BltWait, waited);
         self.nodes[pe].perf.sample(OpKind::BltWait, waited);
         self.trace(pe, TraceKind::BltWait, 0, now);
     }
@@ -1031,16 +922,8 @@ impl Machine {
         let overhead = self.cfg.shell.barrier_start_cy + self.cfg.shell.barrier_end_cy;
         for pe in 0..self.nodes.len() {
             let start = self.hot[pe].clock;
-            // The wire settles at `done` ≥ every arrival ≥ this clock, so
-            // aligning via the settle event reproduces `done` exactly —
-            // unless a perturbed due-time skews it, which the
-            // differential harness must then catch.
-            let aligned = if self.use_event_path(pe) {
-                event::barrier_settle_event(&self.hot[pe], &mut self.nodes[pe], done)
-            } else {
-                done
-            };
-            self.hot[pe].clock = aligned + self.cfg.shell.barrier_end_cy;
+            // The wire settles at `done` ≥ every arrival > this clock.
+            self.hot[pe].clock = done + self.cfg.shell.barrier_end_cy;
             let delta = self.hot[pe].clock - start;
             let p = &mut self.nodes[pe].perf;
             p.credit(CostClass::BarrierOverhead, overhead);
@@ -1094,19 +977,12 @@ impl Machine {
         self.barrier.reset();
         for pe in 0..self.nodes.len() {
             let start = self.hot[pe].clock;
-            let aligned = if self.use_event_path(pe) {
-                event::barrier_settle_event(&self.hot[pe], &mut self.nodes[pe], done)
-            } else {
-                start.max(done)
-            };
+            let aligned = start.max(done);
             self.hot[pe].clock = aligned + self.cfg.shell.barrier_end_cy;
             let end_cy = self.cfg.shell.barrier_end_cy;
             let delta = self.hot[pe].clock - start;
             let p = &mut self.nodes[pe].perf;
             p.credit(CostClass::BarrierOverhead, end_cy);
-            // `aligned - start == done.saturating_sub(start)` on both
-            // unperturbed paths; using `aligned` keeps conservation even
-            // when a skew fault stretches the settle.
             p.credit(CostClass::BarrierWait, aligned - start);
             p.sample(OpKind::Barrier, delta);
             self.trace(pe, TraceKind::FuzzyBarrierEnd, 0, start);
@@ -1151,7 +1027,6 @@ impl Machine {
         for node in &mut self.nodes {
             node.incoming.clear();
             node.acks.wait_clear(u64::MAX / 2);
-            node.events.clear();
             // Rebase attribution at the zeroed clock (collection state is
             // preserved; accumulated credits from before the reset would
             // otherwise break conservation against the new clocks).
@@ -1164,9 +1039,6 @@ impl Machine {
             hot.shell_busy_until = 0;
         }
         self.link_busy.fill(0);
-        for pe in 0..self.nodes.len() {
-            self.sync_inflight(pe);
-        }
         self.phase_log.clear();
     }
 
@@ -1382,14 +1254,6 @@ impl Machine {
     /// application after a sharded phase).
     pub(crate) fn node_and_hot_mut(&mut self, pe: usize) -> (&mut Node, &mut NodeHot) {
         (&mut self.nodes[pe], &mut self.hot[pe])
-    }
-
-    /// Re-syncs every PE's hot in-flight mirrors (the sharded phase
-    /// driver mutates unit state through its own shard borrows).
-    pub(crate) fn resync_inflight_all(&mut self) {
-        for pe in 0..self.nodes.len() {
-            self.sync_inflight(pe);
-        }
     }
 }
 
@@ -1882,34 +1746,6 @@ mod tests {
             .map(|pe| m.node(pe).port.mem_arena().resident_bytes())
             .sum();
         assert_eq!(resident, 0, "fresh machines commit no chunks");
-    }
-
-    #[test]
-    fn contended_window_is_per_sub_cube() {
-        // 16 nodes factor to dims (4, 2, 2); the contention window
-        // splits them along X into two canonical (2, 2, 2) sub-cubes —
-        // the same shapes the gang scheduler's buddy allocator hands
-        // out.
-        let mut m = Machine::new(MachineConfig::t3d_contended(16));
-        assert_eq!(m.block_pes.len(), 2);
-        assert_eq!(m.block_pes[0], vec![0, 1, 4, 5, 8, 9, 12, 13]);
-        assert_eq!(m.block_pes[1], vec![2, 3, 6, 7, 10, 11, 14, 15]);
-        // Two PEs of the first sub-cube leave stores in flight.
-        for pe in [0usize, 1] {
-            set_annex(&mut m, pe, 1, 3, FuncCode::Uncached);
-            let va = m.va(1, 0x100);
-            m.st8(pe, va, 9);
-        }
-        assert!(m.contended_window(0), "sender is inside the window");
-        assert!(
-            m.contended_window(5),
-            "an idle PE of a busy sub-cube is inside the window"
-        );
-        assert!(
-            !m.contended_window(2),
-            "the other sub-cube stays uncontended"
-        );
-        assert!(!m.contended_window(15));
     }
 
     #[test]

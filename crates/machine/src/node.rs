@@ -1,7 +1,6 @@
 //! One node: Alpha core state, memory port and shell units.
 
 use crate::config::MachineConfig;
-use crate::event::EventQueue;
 use t3d_memsys::MemPort;
 use t3d_perf::PerfAccum;
 
@@ -61,15 +60,10 @@ use t3d_shell::{AckTracker, Annex, BltUnit, FetchIncRegs, MsgQueue, PrefetchUnit
 
 /// The hot scalar state of one PE, held in a struct-of-arrays arena on
 /// the machine (`Vec<NodeHot>`) rather than inside the pointer-rich
-/// [`Node`]. The whole-machine scans — "max clock across PEs", "any
-/// in-flight traffic in this sub-cube", contention-window checks —
-/// stride over these few words per PE instead of ~500-byte nodes, so a
-/// 1024-PE machine's scan state stays cache-hot.
-///
-/// `wbuf_pending`/`acks_inflight`/`prefetch_outstanding` mirror the
-/// authoritative unit state in the cold node; the machine re-syncs them
-/// at every point where that state can change, and debug builds assert
-/// the mirror against the units on every contention-window scan.
+/// [`Node`]. The whole-machine scans — "max clock across PEs", shell
+/// occupancy under contention — stride over these few words per PE
+/// instead of ~500-byte nodes, so a 1024-PE machine's scan state stays
+/// cache-hot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeHot {
     /// Virtual time, in cycles.
@@ -77,20 +71,6 @@ pub struct NodeHot {
     /// When this node's shell finishes servicing its current remote
     /// request (used only when contention modeling is on).
     pub shell_busy_until: u64,
-    /// Mirror of `port.wbuf_pending()`.
-    pub wbuf_pending: u32,
-    /// Mirror of `acks.clear_time().is_some()`.
-    pub acks_inflight: bool,
-    /// Mirror of `prefetch.outstanding()`.
-    pub prefetch_outstanding: u32,
-}
-
-impl NodeHot {
-    /// Whether this PE has in-flight remote traffic that shell queueing
-    /// could couple to another PE's timing.
-    pub fn inflight(&self) -> bool {
-        self.wbuf_pending > 0 || self.acks_inflight
-    }
 }
 
 /// A processing element: memory system + shell units. The per-PE hot
@@ -124,9 +104,6 @@ pub struct Node {
     /// ledger for the costs it returns. Node-owned so the sharded phase
     /// engine carries it thread-privately.
     pub perf: PerfAccum,
-    /// Pending-completion queue for the event engine (empty between
-    /// operations; see [`crate::event`]).
-    pub events: EventQueue,
 }
 
 impl Node {
@@ -144,7 +121,6 @@ impl Node {
             incoming: Vec::new(),
             ops: OpStats::default(),
             perf: PerfAccum::default(),
-            events: EventQueue::default(),
         }
     }
 

@@ -118,10 +118,6 @@ pub trait MachineOps {
 
     /// A node's operation counters.
     fn op_stats(&self, pe: usize) -> OpStats;
-    /// A node's event-engine counters (zero under the cycle engine).
-    fn event_stats(&self, pe: usize) -> crate::event::EventStats {
-        self.node(pe).events.stats
-    }
     /// Earliest virtual time at which `target_bytes` of remote-write
     /// data had arrived at `pe`.
     fn arrival_time_of(&self, pe: usize, target_bytes: u64) -> Option<u64>;

@@ -310,17 +310,6 @@ impl<'a> PhasePe<'a> {
         t3d_shell::annex::split_pa(va, self.sh.cfg.mem.offset_bits)
     }
 
-    /// Mirrors `Machine::use_event_path`. A shard cannot see other
-    /// shards' in-flight traffic, so with contention modeling on (shell
-    /// or link) it conservatively stays cycle-accurate for the whole
-    /// phase; with contention off (the default) the fast-forward is
-    /// exact and the gate reduces to the engine mode.
-    fn use_event_path(&self) -> bool {
-        self.sh.cfg.engine == crate::event::EngineMode::Event
-            && !self.sh.cfg.contention
-            && !self.sh.cfg.link_contention
-    }
-
     fn line_mask(&self) -> u64 {
         self.sh.cfg.mem.l1.line as u64 - 1
     }
@@ -680,13 +669,8 @@ impl MachineOps for PhasePe<'_> {
         self.own(pe);
         self.node.ops.memory_barriers += 1;
         let now = self.hot.clock;
-        let cost = if self.use_event_path() {
-            crate::event::memory_barrier_event(self.hot, self.node)
-        } else {
-            let c = self.node.port.memory_barrier(now);
-            self.hot.clock = now + c;
-            c
-        };
+        let cost = self.node.port.memory_barrier(now);
+        self.hot.clock = now + cost;
         self.node.perf.sample(OpKind::Fence, cost);
         let t = self.hot.clock;
         self.node.prefetch.note_memory_barrier(t);
@@ -706,16 +690,10 @@ impl MachineOps for PhasePe<'_> {
         self.own(pe);
         self.node.ops.ack_waits += 1;
         let now = self.hot.clock;
-        let cost = if self.use_event_path() {
-            crate::event::wait_write_acks_event(self.hot, self.node)
-        } else {
-            let c = self.node.acks.wait_clear(now);
-            self.hot.clock = now + c;
-            self.node.perf.credit(CostClass::AckWait, c);
-            c
-        };
+        let cost = self.node.acks.wait_clear(now);
+        self.hot.clock = now + cost;
+        self.node.perf.credit(CostClass::AckWait, cost);
         self.node.perf.sample(OpKind::AckWait, cost);
-        let _ = now;
     }
 
     fn fetch(&mut self, pe: usize, va: u64) -> bool {
@@ -776,14 +754,9 @@ impl MachineOps for PhasePe<'_> {
         self.own(pe);
         self.node.ops.pops += 1;
         let now = self.hot.clock;
-        let (value, cost) = if self.use_event_path() {
-            crate::event::pop_prefetch_event(self.hot, self.node)?
-        } else {
-            let (v, c) = self.node.prefetch.pop(now)?;
-            self.hot.clock = now + c;
-            self.node.perf.credit(CostClass::PrefetchWait, c);
-            (v, c)
-        };
+        let (value, cost) = self.node.prefetch.pop(now)?;
+        self.hot.clock = now + cost;
+        self.node.perf.credit(CostClass::PrefetchWait, cost);
         self.node.perf.sample(OpKind::Pop, cost);
         Ok(value)
     }
@@ -939,14 +912,9 @@ impl MachineOps for PhasePe<'_> {
     fn blt_wait(&mut self, pe: usize, handle: BltHandle) {
         self.own(pe);
         let now = self.hot.clock;
-        let waited = if self.use_event_path() {
-            crate::event::blt_wait_event(self.hot, self.node, handle.completion)
-        } else {
-            self.hot.clock = self.hot.clock.max(handle.completion);
-            let w = self.hot.clock - now;
-            self.node.perf.credit(CostClass::BltWait, w);
-            w
-        };
+        self.hot.clock = self.hot.clock.max(handle.completion);
+        let waited = self.hot.clock - now;
+        self.node.perf.credit(CostClass::BltWait, waited);
         self.node.perf.sample(OpKind::BltWait, waited);
     }
 
@@ -1304,7 +1272,6 @@ impl Machine {
         self.apply_effects(&logs);
         logs.clear();
         self.effect_logs = logs;
-        self.resync_inflight_all();
     }
 
     /// Applies merged shard effects to the real nodes, in key order,
@@ -1739,9 +1706,7 @@ mod tests {
     /// per-phase clock stamps), fetch&inc registers, shell-busy
     /// clocks]`, each folded to one FNV word.
     fn pinned_program(driver: PhaseDriver) -> [u64; 4] {
-        let mut cfg = MachineConfig::t3d_link_contended(64);
-        cfg.engine = crate::event::EngineMode::Cycle;
-        let mut m = Machine::new(cfg);
+        let mut m = Machine::new(MachineConfig::t3d_link_contended(64));
         for pe in 0..64 {
             for i in 0..128u64 {
                 m.poke8(pe, 0x2000 + i * 8, (pe as u64) * 10_007 + i);

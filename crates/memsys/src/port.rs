@@ -350,14 +350,6 @@ impl MemPort {
         self.wbuf.pending()
     }
 
-    /// Integer completion times of every pending write-buffer entry, in
-    /// FIFO retire order (nondecreasing). The event engine schedules one
-    /// `WbufRetire` event per value and retires each via
-    /// [`MemPort::apply_due`] at exactly its due time.
-    pub fn wbuf_due_times(&self) -> impl Iterator<Item = u64> + '_ {
-        self.wbuf.due_times()
-    }
-
     /// Services a read request arriving from a *remote* node: reads
     /// straight from DRAM (never this node's cache or write buffer — the
     /// shell path goes to the memory controller) and returns the DRAM

@@ -197,16 +197,6 @@ impl WriteBuffer {
         self.entries.front().map(|e| e.due)
     }
 
-    /// Integer completion times of every pending entry, in FIFO (retire)
-    /// order. These are the due-times the event engine turns into
-    /// `WbufRetire` events: the pipeline is strictly FIFO, so the
-    /// sequence is nondecreasing, and each value is exactly the
-    /// `completion` the entry will carry when it retires through
-    /// [`WriteBuffer::drain_due`] or [`WriteBuffer::drain_all`].
-    pub fn due_times(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.iter().map(|e| e.due)
-    }
-
     fn line_base(&self, pa: u64) -> u64 {
         pa & !((self.line as u64) - 1)
     }

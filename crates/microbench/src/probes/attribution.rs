@@ -8,7 +8,7 @@
 //! sequential and the parallel phase driver.
 
 use splitc::{GlobalPtr, SplitC};
-use t3d_machine::{EngineMode, Machine, MachineConfig, PerfMode, PerfReport, PhaseDriver};
+use t3d_machine::{Machine, MachineConfig, PerfMode, PerfReport, PhaseDriver};
 use t3d_shell::blt::BltDirection;
 use t3d_shell::{AnnexEntry, FuncCode};
 
@@ -46,12 +46,10 @@ impl PartialEq for ScenarioRun {
 pub struct Scenario {
     /// Stable name (the key in `BENCH_micro.json`).
     pub name: &'static str,
-    /// Runs the scenario under the given phase driver and time-advance
-    /// engine, returning the attribution report and checksum. Both
-    /// dimensions are bit-identity contracts: scenarios that never
-    /// enter a sharded phase ignore the driver, but every scenario
-    /// honours the engine mode.
-    pub run: fn(PhaseDriver, EngineMode) -> ScenarioRun,
+    /// Runs the scenario under the given phase driver, returning the
+    /// attribution report and checksum. The driver is a bit-identity
+    /// contract; scenarios that never enter a sharded phase ignore it.
+    pub run: fn(PhaseDriver) -> ScenarioRun,
 }
 
 /// Every scenario confines its traffic to the first megabyte of each
@@ -137,11 +135,9 @@ pub fn all() -> &'static [Scenario] {
 /// unaffected — the throughput bench's cycle gate pins that).
 const NODE_MEM: usize = 2 << 20;
 
-fn machine(pes: u32, engine: EngineMode) -> (Machine, f64) {
+fn machine(pes: u32) -> (Machine, f64) {
     let t = std::time::Instant::now();
-    let mut cfg = MachineConfig::t3d_with_mem(pes, NODE_MEM);
-    cfg.engine = engine;
-    let mut m = Machine::new(cfg);
+    let mut m = Machine::new(MachineConfig::t3d_with_mem(pes, NODE_MEM));
     m.set_perf_mode(PerfMode::Counters);
     (m, t.elapsed().as_secs_f64())
 }
@@ -153,8 +149,8 @@ fn aim(m: &mut Machine, pe: usize, target: u32, func: FuncCode) -> u64 {
 
 /// Strided local reads: a miss pass over 16 KB, then a hit pass over the
 /// resident prefix — L1 hits, DRAM page hits and misses all appear.
-fn local_read_stream(_d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
-    let (mut m, setup) = machine(1, engine);
+fn local_read_stream(_d: PhaseDriver) -> ScenarioRun {
+    let (mut m, setup) = machine(1);
     for i in 0..512u64 {
         let _ = m.ld8(0, i * 32);
     }
@@ -166,8 +162,8 @@ fn local_read_stream(_d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
 
 /// Local write bursts: merging stores within a line, page-hopping stores
 /// that stall the write buffer, and the drain at the barrier.
-fn local_write_burst(_d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
-    let (mut m, setup) = machine(1, engine);
+fn local_write_burst(_d: PhaseDriver) -> ScenarioRun {
+    let (mut m, setup) = machine(1);
     for i in 0..128u64 {
         m.st8(0, i * 8, i);
     }
@@ -180,8 +176,8 @@ fn local_write_burst(_d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
 
 /// The Figure 4 uncached probe, attributed: shell launch, network and
 /// remote DRAM should dominate.
-fn remote_read_uncached(_d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
-    let (mut m, setup) = machine(2, engine);
+fn remote_read_uncached(_d: PhaseDriver) -> ScenarioRun {
+    let (mut m, setup) = machine(2);
     let base = aim(&mut m, 0, 1, FuncCode::Uncached);
     for i in 0..64u64 {
         let _ = m.ld8(0, base + i * 64);
@@ -191,8 +187,8 @@ fn remote_read_uncached(_d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
 
 /// Cached remote reads at word stride: one line fill amortized over
 /// three L1 hits.
-fn remote_read_cached(_d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
-    let (mut m, setup) = machine(2, engine);
+fn remote_read_cached(_d: PhaseDriver) -> ScenarioRun {
+    let (mut m, setup) = machine(2);
     let base = aim(&mut m, 0, 1, FuncCode::Cached);
     for i in 0..256u64 {
         let _ = m.ld8(0, base + i * 8);
@@ -201,8 +197,8 @@ fn remote_read_cached(_d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
 }
 
 /// Blocking remote writes: store, fence, ack wait — every iteration.
-fn remote_write_block(_d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
-    let (mut m, setup) = machine(2, engine);
+fn remote_write_block(_d: PhaseDriver) -> ScenarioRun {
+    let (mut m, setup) = machine(2);
     let base = aim(&mut m, 0, 1, FuncCode::Uncached);
     for i in 0..32u64 {
         m.st8(0, base + i * 64, i);
@@ -214,8 +210,8 @@ fn remote_write_block(_d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
 
 /// Pipelined remote writes (Figure 7's put idiom): a burst of stores,
 /// one fence, one ack wait.
-fn remote_write_pipeline(_d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
-    let (mut m, setup) = machine(2, engine);
+fn remote_write_pipeline(_d: PhaseDriver) -> ScenarioRun {
+    let (mut m, setup) = machine(2);
     let base = aim(&mut m, 0, 1, FuncCode::Uncached);
     for i in 0..64u64 {
         m.st8(0, base + i * 64, i);
@@ -226,8 +222,8 @@ fn remote_write_pipeline(_d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
 }
 
 /// Prefetch groups (Figure 6's group-of-4 sweep): issue, fence, pop.
-fn prefetch_pipeline(_d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
-    let (mut m, setup) = machine(2, engine);
+fn prefetch_pipeline(_d: PhaseDriver) -> ScenarioRun {
+    let (mut m, setup) = machine(2);
     let base = aim(&mut m, 0, 1, FuncCode::Uncached);
     for g in 0..16u64 {
         let mut issued = 0u64;
@@ -245,8 +241,8 @@ fn prefetch_pipeline(_d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
 }
 
 /// One BLT block write and its completion wait.
-fn bulk_blt(_d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
-    let (mut m, setup) = machine(2, engine);
+fn bulk_blt(_d: PhaseDriver) -> ScenarioRun {
+    let (mut m, setup) = machine(2);
     for i in 0..512u64 {
         m.poke_mem(0, 0x8000 + i * 8, &i.to_le_bytes());
     }
@@ -256,8 +252,8 @@ fn bulk_blt(_d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
 }
 
 /// Skewed barrier episodes: overhead plus wait for the laggard.
-fn sync_barrier(_d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
-    let (mut m, setup) = machine(4, engine);
+fn sync_barrier(_d: PhaseDriver) -> ScenarioRun {
+    let (mut m, setup) = machine(4);
     for round in 0..8u64 {
         for pe in 0..4usize {
             m.advance(pe, 50 + (pe as u64) * 37 + round * 11);
@@ -268,8 +264,8 @@ fn sync_barrier(_d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
 }
 
 /// Fetch&increment tickets against a remote register.
-fn sync_fetchinc(_d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
-    let (mut m, setup) = machine(2, engine);
+fn sync_fetchinc(_d: PhaseDriver) -> ScenarioRun {
+    let (mut m, setup) = machine(2);
     for _ in 0..32 {
         let _ = m.fetch_inc(0, 1, 0);
     }
@@ -277,8 +273,8 @@ fn sync_fetchinc(_d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
 }
 
 /// Message ping-pong: the 122-cycle PAL send and the receive dispatch.
-fn msg_pingpong(_d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
-    let (mut m, setup) = machine(2, engine);
+fn msg_pingpong(_d: PhaseDriver) -> ScenarioRun {
+    let (mut m, setup) = machine(2);
     for round in 0..8u64 {
         m.msg_send(0, 1, [round, 0, 0, 0]);
         let target = m.clock(0) + 10_000;
@@ -296,8 +292,8 @@ fn msg_pingpong(_d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
 
 /// A bulk-synchronous neighbour exchange through the sharded engine —
 /// the scenario that exercises the parallel driver's attribution.
-fn phase_exchange(d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
-    let (mut m, setup) = machine(4, engine);
+fn phase_exchange(d: PhaseDriver) -> ScenarioRun {
+    let (mut m, setup) = machine(4);
     for _ in 0..4 {
         m.sharded_phase(d, |cpu| {
             let pe = cpu.pe();
@@ -321,14 +317,12 @@ fn phase_exchange(d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
 }
 
 /// Split-C gets and puts through the parallel phase driver.
-fn splitc_getput(d: PhaseDriver, engine: EngineMode) -> ScenarioRun {
+fn splitc_getput(d: PhaseDriver) -> ScenarioRun {
     // Full-size nodes: the Split-C runtime anchors its active-message
     // region at the top of memory, so shrinking node memory would move
     // those addresses and change DRAM timing.
     let t = std::time::Instant::now();
-    let mut cfg = MachineConfig::t3d(4);
-    cfg.engine = engine;
-    let mut sc = SplitC::new(cfg);
+    let mut sc = SplitC::new(MachineConfig::t3d(4));
     let src = sc.alloc(256, 8);
     let dst = sc.alloc(256, 8);
     for pe in 0..4usize {
@@ -360,7 +354,7 @@ mod tests {
     #[test]
     fn every_scenario_attributes_something() {
         for s in all() {
-            let run = (s.run)(PhaseDriver::Seq, EngineMode::Cycle);
+            let run = (s.run)(PhaseDriver::Seq);
             assert!(run.report.total() > 0, "{} attributed no cycles", s.name);
             assert_ne!(run.checksum, 0, "{} produced no fingerprint", s.name);
         }
@@ -370,7 +364,7 @@ mod tests {
     fn remote_scenarios_show_remote_cycles() {
         for name in ["remote.read.uncached", "remote.write.block", "bulk.blt"] {
             let s = all().iter().find(|s| s.name == name).unwrap();
-            let report = (s.run)(PhaseDriver::Seq, EngineMode::Cycle).report;
+            let report = (s.run)(PhaseDriver::Seq).report;
             assert!(
                 report.remote_share() > 0.2,
                 "{name} remote share {:.2}",

@@ -11,11 +11,11 @@
 //! * **self-checks** its numerical result against a host reference and
 //!   panics on divergence (a wrong simulator never posts a timing);
 //! * is bit-deterministic in `(pe_count, size, seed)` under both phase
-//!   drivers and both time-advance engines, which is what makes the
+//!   drivers, which is what makes the
 //!   scheduler's job ledger reproducible and kernel-run memoisation
 //!   ([`crate::sim::KernelCache`]) sound.
 
-use em3d::{run_version_engine, Em3dParams, Version};
+use em3d::{run_version_with, Em3dParams, Version};
 use splitc::{GlobalPtr, SplitC};
 use t3d_machine::{EngineMode, MachineConfig, PhaseDriver};
 use t3d_prng::Rng;
@@ -28,30 +28,31 @@ use crate::metrics::fnv1a;
 /// launch) proportionally cheaper.
 const KERNEL_MEM_BYTES: usize = 2 * 1024 * 1024;
 
-/// Execution environment a kernel runs under: which phase driver and
-/// which time-advance engine. Threading these explicitly (instead of
-/// re-reading the environment) lets one process run the full
-/// Seq/Par × Cycle/Event differential matrix.
+/// Execution environment a kernel runs under: which phase driver.
+/// Threading it explicitly (instead of re-reading the environment) lets
+/// one process run the Seq/Par differential.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecEnv {
     /// Sequential or sharded-parallel phase driver.
     pub driver: PhaseDriver,
-    /// Cycle-accurate or skip-to-next-event time advance.
+    /// Ignored: the machine has one time-advance engine. Kept only so
+    /// the frozen `perfbench` harness, which reads it, compiles
+    /// unchanged (see [`EngineMode`]).
     pub engine: EngineMode,
 }
 
 impl ExecEnv {
-    /// The environment-selected defaults (`T3D_PAR`, `T3D_EVENT`).
+    /// The environment-selected driver (`T3D_PAR`).
     pub fn from_env() -> ExecEnv {
-        ExecEnv {
-            driver: PhaseDriver::from_env(),
-            engine: EngineMode::from_env(),
-        }
+        ExecEnv::new(PhaseDriver::from_env())
     }
 
-    /// An explicit environment.
-    pub fn new(driver: PhaseDriver, engine: EngineMode) -> ExecEnv {
-        ExecEnv { driver, engine }
+    /// An explicit driver.
+    pub fn new(driver: PhaseDriver) -> ExecEnv {
+        ExecEnv {
+            driver,
+            engine: EngineMode::Cycle,
+        }
     }
 }
 
@@ -190,23 +191,21 @@ impl Kernel {
                 params.seed = seed;
                 // run_version verifies against the host reference
                 // internally and panics on divergence.
-                let r = run_version_engine(env.driver, env.engine, pe_count, params, v);
+                let r = run_version_with(env.driver, pe_count, params, v);
                 KernelRun {
                     cycles: r.cycles,
                     result_fnv: r.mem_fnv,
                 }
             }
             Kernel::Stencil(comm) => run_stencil(env, pe_count, size.max(4), 3, seed, comm).run,
-            Kernel::SampleSort => run_sample_sort(env, pe_count, size.max(16), seed).run,
-            Kernel::Cg => run_cg(env, pe_count, size.max(4), seed).run,
+            Kernel::SampleSort => run_sample_sort(pe_count, size.max(16), seed).run,
+            Kernel::Cg => run_cg(pe_count, size.max(4), seed).run,
         }
     }
 }
 
-fn kernel_machine(env: ExecEnv, pe_count: u32) -> MachineConfig {
-    let mut cfg = MachineConfig::t3d_with_mem(pe_count, KERNEL_MEM_BYTES);
-    cfg.engine = env.engine;
-    cfg
+fn kernel_machine(pe_count: u32) -> MachineConfig {
+    MachineConfig::t3d_with_mem(pe_count, KERNEL_MEM_BYTES)
 }
 
 /// Result of a [`run_stencil`] call.
@@ -238,7 +237,7 @@ pub fn run_stencil(
     seed: u64,
     comm: StencilComm,
 ) -> StencilOut {
-    let mut sc = SplitC::new(kernel_machine(env, pe_count));
+    let mut sc = SplitC::new(kernel_machine(pe_count));
     let nodes = pe_count as usize;
     // Block plus one ghost cell on each side.
     let cell_base = sc.alloc((cells + 2) * 8, 8);
@@ -366,10 +365,10 @@ pub struct SampleSortOut {
 ///
 /// Panics if the result is not a globally sorted permutation of the
 /// input (verified against a host reference on every run).
-pub fn run_sample_sort(env: ExecEnv, pe_count: u32, keys_per_pe: u64, seed: u64) -> SampleSortOut {
+pub fn run_sample_sort(pe_count: u32, keys_per_pe: u64, seed: u64) -> SampleSortOut {
     const OVERSAMPLE: u64 = 8;
     let p_u64 = u64::from(pe_count);
-    let mut sc = SplitC::new(kernel_machine(env, pe_count));
+    let mut sc = SplitC::new(kernel_machine(pe_count));
     let keys = sc.alloc(keys_per_pe * 8, 8);
     // Receive region: worst-case skew margin.
     let recv_cap = keys_per_pe * 4;
@@ -573,10 +572,10 @@ pub struct CgOut {
 /// # Panics
 ///
 /// Panics if CG fails to converge or diverges from the direct solve.
-pub fn run_cg(env: ExecEnv, pe_count: u32, local_n: u64, seed: u64) -> CgOut {
+pub fn run_cg(pe_count: u32, local_n: u64, seed: u64) -> CgOut {
     let n_total = u64::from(pe_count) * local_n;
     let max_iters = 3 * n_total as usize + 20;
-    let mut sc = SplitC::new(kernel_machine(env, pe_count));
+    let mut sc = SplitC::new(kernel_machine(pe_count));
     let x = sc.alloc(local_n * 8, 8);
     let r = sc.alloc(local_n * 8, 8);
     // p with 2 halo cells: [halo_lo][local_n cells][halo_hi]
@@ -814,11 +813,10 @@ mod tests {
 
     #[test]
     fn sample_sort_and_cg_self_check() {
-        let env = ExecEnv::from_env();
-        let sort = run_sample_sort(env, 4, 64, 11);
+        let sort = run_sample_sort(4, 64, 11);
         assert_eq!(sort.keys, 256);
         assert!(sort.run.cycles > 0);
-        let cg = run_cg(env, 4, 8, 11);
+        let cg = run_cg(4, 8, 11);
         assert!(cg.iters > 0 && cg.max_rel_err < 1e-6);
     }
 

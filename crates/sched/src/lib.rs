@@ -17,21 +17,20 @@
 //!   power-of-two torus sub-cubes (`t3d_torus::subcube`), with
 //!   allocation/fragmentation counters;
 //! * [`sim`] — the event-driven simulation driver: virtual time
-//!   advances to the next arrival or job completion (the same
-//!   skip-to-next-event discipline as the machine core), each scheduled
+//!   advances to the next arrival or job completion, each scheduled
 //!   job runs its kernel on a right-sized simulated machine, and the
 //!   job's simulated cycles are charged back into the global job-stream
 //!   clock;
-//! * [`metrics`] — per-job wait/run/turnaround into the log₂
-//!   histograms of `t3d-perf` (p50/p95/p99), fleet utilization and
-//!   queue-depth accounting, and the FNV job-ledger fingerprint;
+//! * [`metrics`] — per-job wait/run/turnaround with exact nearest-rank
+//!   p50/p95/p99 summaries, fleet utilization and queue-depth
+//!   accounting, and the FNV job-ledger fingerprint;
 //! * [`report`] — the `t3d-sched-v1` saturation-sweep document
 //!   (`BENCH_sched.json`) and its regression comparator.
 //!
 //! Everything is virtual-time deterministic: the same trace produces a
-//! bit-identical job ledger under both phase drivers (`T3D_PAR`) and
-//! both time-advance engines (`T3D_EVENT`) — the scheduler inherits the
-//! simulator's determinism contract, and CI pins it.
+//! bit-identical job ledger under both phase drivers (`T3D_PAR`) — the
+//! scheduler inherits the simulator's determinism contract, and CI pins
+//! it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

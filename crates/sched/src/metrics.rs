@@ -1,12 +1,10 @@
 //! Per-job and fleet-level scheduling metrics.
 //!
-//! Wait, run and turnaround times go into the log₂ [`Hist`]ograms from
-//! `t3d-perf` — the same bucket-resolution percentiles the micro-probe
-//! suite reports, so a saturation curve's p99 means the same thing as a
-//! latency probe's p99. Utilization and queue depth are time-weighted
-//! integrals accumulated between scheduler events.
-
-use t3d_perf::hist::Hist;
+//! Wait, run and turnaround times are kept per job and summarised as
+//! exact nearest-rank percentiles: a load point has about a hundred
+//! jobs, so sorting them is cheap, and a log₂-bucket upper bound would
+//! hide any p99 regression smaller than 2×. Utilization and queue depth
+//! are time-weighted integrals accumulated between scheduler events.
 
 /// One FNV-1a step over `bytes`, continuing from `state`. Seed with
 /// [`FNV_OFFSET`]; the scheduler chains every job's ledger entry
@@ -23,10 +21,10 @@ pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
 /// The FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// A histogram compressed to the figures a BENCH document keeps.
+/// A distribution compressed to the figures a BENCH document keeps.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistSummary {
-    /// Median (bucket upper bound), cycles.
+    /// Median, cycles.
     pub p50: u64,
     /// 95th percentile, cycles.
     pub p95: u64,
@@ -37,14 +35,28 @@ pub struct HistSummary {
 }
 
 impl HistSummary {
-    /// Summarises a histogram. An empty histogram summarises to all
-    /// zeros (the [`Hist::percentile`] empty convention).
-    pub fn of(h: &Hist) -> HistSummary {
+    /// Summarises per-job samples: each percentile `p` is the sample of
+    /// 1-based rank `⌈n·p/100⌉` in ascending order (nearest rank), the
+    /// mean is exact. No samples summarise to all zeros.
+    pub fn of(samples: &[u64]) -> HistSummary {
+        if samples.is_empty() {
+            return HistSummary {
+                p50: 0,
+                p95: 0,
+                p99: 0,
+                mean: 0.0,
+            };
+        }
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        let n = sorted.len();
+        let at = |p: usize| sorted[(n * p).div_ceil(100).max(1) - 1];
+        let sum: u64 = sorted.iter().sum();
         HistSummary {
-            p50: h.p50(),
-            p95: h.p95(),
-            p99: h.p99(),
-            mean: h.mean(),
+            p50: at(50),
+            p95: at(95),
+            p99: at(99),
+            mean: sum as f64 / n as f64,
         }
     }
 }
@@ -52,12 +64,13 @@ impl HistSummary {
 /// Fleet-level metrics accumulated over one trace run.
 #[derive(Debug, Clone, Default)]
 pub struct FleetMetrics {
-    /// Per-job queue wait (arrival → dispatch), cycles.
-    pub wait: Hist,
+    /// Per-job queue wait (arrival → dispatch), cycles, in completion
+    /// order.
+    pub wait: Vec<u64>,
     /// Per-job service time (dispatch → completion), cycles.
-    pub run: Hist,
+    pub run: Vec<u64>,
     /// Per-job turnaround (arrival → completion), cycles.
-    pub turnaround: Hist,
+    pub turnaround: Vec<u64>,
     /// PE-cycles spent running jobs (the utilization numerator).
     busy_pe_cy: u128,
     /// Queue-depth integral: Σ depth × dt over the run.
@@ -69,9 +82,9 @@ pub struct FleetMetrics {
 impl FleetMetrics {
     /// Records one completed job.
     pub fn record_job(&mut self, wait_cy: u64, run_cy: u64) {
-        self.wait.record(wait_cy);
-        self.run.record(run_cy);
-        self.turnaround.record(wait_cy + run_cy);
+        self.wait.push(wait_cy);
+        self.run.push(run_cy);
+        self.turnaround.push(wait_cy + run_cy);
     }
 
     /// Accounts an interval of `dt` cycles during which `busy_pes` PEs
@@ -134,18 +147,32 @@ mod tests {
     }
 
     #[test]
-    fn empty_hist_summary_is_zero() {
-        let s = HistSummary::of(&Hist::default());
+    fn empty_summary_is_zero() {
+        let s = HistSummary::of(&[]);
         assert_eq!((s.p50, s.p95, s.p99), (0, 0, 0));
         assert_eq!(s.mean, 0.0);
     }
 
     #[test]
-    fn record_job_feeds_all_three_hists() {
+    fn summary_percentiles_are_nearest_rank() {
+        // 1..=100 in scrambled order: the p-th percentile is p itself.
+        let v: Vec<u64> = (0..100u64).map(|i| (i * 37) % 100 + 1).collect();
+        let s = HistSummary::of(&v);
+        assert_eq!((s.p50, s.p95, s.p99), (50, 95, 99));
+        assert_eq!(s.mean, 50.5);
+        // Ten samples: p95 and p99 both round up to the maximum.
+        let s = HistSummary::of(&[10, 20, 30, 40, 50, 60, 70, 80, 90, 100]);
+        assert_eq!((s.p50, s.p95, s.p99), (50, 100, 100));
+        // One sample is every percentile.
+        assert_eq!(HistSummary::of(&[7]).p99, 7);
+    }
+
+    #[test]
+    fn record_job_feeds_all_three_series() {
         let mut m = FleetMetrics::default();
         m.record_job(100, 900);
-        assert_eq!(m.wait.count(), 1);
-        assert_eq!(m.run.count(), 1);
-        assert_eq!(m.turnaround.sum(), 1000);
+        assert_eq!(m.wait, vec![100]);
+        assert_eq!(m.run, vec![900]);
+        assert_eq!(m.turnaround, vec![1000]);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A sweep runs the same job bodies at a ladder of offered loads and
 //! records one [`SweepPoint`] per load: the wait/run/turnaround
-//! distributions (log₂-bucket percentiles), utilization, queue depth,
+//! distributions (exact nearest-rank percentiles), utilization, queue depth,
 //! and the job-ledger FNV fingerprint. The checked-in
 //! `BENCH_sched.json` is such a document; [`compare`] holds the
 //! ledger fingerprints **strictly** (the whole scheduling run is
@@ -371,6 +371,23 @@ mod tests {
         fresh.points[0].turnaround.p99 = 1200;
         assert!(!compare(&doc(), &fresh, 0.1).is_empty());
         assert!(compare(&doc(), &fresh, 0.25).is_empty());
+    }
+
+    #[test]
+    fn a_ten_percent_p99_turnaround_regression_fails_at_five_percent() {
+        // A load point's worth of jobs whose turnarounds all share one
+        // log₂ bucket: a bucket-bound p99 could not see them move.
+        let base: Vec<u64> = (0..100u64).map(|i| 600_000 + i * 3_000).collect();
+        let slow: Vec<u64> = base.iter().map(|t| t + t / 10).collect();
+        let with = |turnaround: &[u64]| {
+            let mut d = doc();
+            d.points[0].turnaround = HistSummary::of(turnaround);
+            d
+        };
+        let problems = compare(&with(&base), &with(&slow), 0.05);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains("p99 turnaround"), "{problems:?}");
+        assert!(compare(&with(&base), &with(&slow), 0.15).is_empty());
     }
 
     #[test]

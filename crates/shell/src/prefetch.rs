@@ -136,22 +136,6 @@ impl PrefetchUnit {
         }
     }
 
-    /// Arrival time of the oldest prefetch (departure + remote latency),
-    /// without popping it. The event engine fast-forwards a waiting PE's
-    /// clock to this time, after which [`PrefetchUnit::pop`] costs
-    /// exactly the off-chip pop.
-    ///
-    /// # Errors
-    ///
-    /// The same conditions as [`PrefetchUnit::pop`]: [`PopError::Empty`]
-    /// if nothing is outstanding, [`PopError::NotDeparted`] if the
-    /// oldest fetch is still in the write buffer.
-    pub fn head_arrival(&self) -> Result<u64, PopError> {
-        let head = self.slots.front().ok_or(PopError::Empty)?;
-        let departed = head.departed.ok_or(PopError::NotDeparted)?;
-        Ok(departed + head.latency_cy)
-    }
-
     /// Pops the oldest prefetch: returns its bound value and the cost in
     /// cycles (wait-for-arrival, if any, plus the 23-cycle off-chip pop).
     ///

@@ -67,14 +67,6 @@ impl AckTracker {
         self.times.iter().copied().max()
     }
 
-    /// Arrival times of every acknowledgement not yet observed, in
-    /// registration order. The event engine turns these into
-    /// `AckArrival` events; [`AckTracker::wait_clear`] at the latest of
-    /// them costs exactly one final poll.
-    pub fn pending_times(&self) -> &[u64] {
-        &self.times
-    }
-
     fn compact(&mut self, now: u64) {
         self.times.retain(|&t| t > now);
     }

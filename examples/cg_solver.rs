@@ -14,14 +14,14 @@
 //! cargo run --release --example cg_solver
 //! ```
 
-use t3d_sched::kernels::{run_cg, ExecEnv};
+use t3d_sched::kernels::run_cg;
 
 const P: u32 = 8;
 const LOCAL_N: u64 = 128; // rows per node
 const SEED: u64 = 0xC6;
 
 fn main() {
-    let out = run_cg(ExecEnv::from_env(), P, LOCAL_N, SEED);
+    let out = run_cg(P, LOCAL_N, SEED);
     println!(
         "CG on {}-point Poisson over {P} PEs: {} iterations, \
          max rel. error {:.2e}, {:.2} ms virtual time",

@@ -18,14 +18,14 @@
 //! cargo run --release --example sample_sort
 //! ```
 
-use t3d_sched::kernels::{run_sample_sort, ExecEnv};
+use t3d_sched::kernels::run_sample_sort;
 
 const P: u32 = 8;
 const KEYS_PER_PE: u64 = 512;
 const SEED: u64 = 99;
 
 fn main() {
-    let out = run_sample_sort(ExecEnv::from_env(), P, KEYS_PER_PE, SEED);
+    let out = run_sample_sort(P, KEYS_PER_PE, SEED);
     assert_eq!(out.keys, u64::from(P) * KEYS_PER_PE);
     println!(
         "sample sort: {} keys over {P} PEs in {:.0} us (verified globally sorted)",

@@ -54,7 +54,7 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use em3d::{run_version_profiled_contended, run_version_profiled_engine, Em3dParams, Version};
+use em3d::{run_version_profiled, run_version_profiled_contended, Em3dParams, Version};
 use t3d_machine::{
     BltHandle, EngineMode, Machine, MachineConfig, PerfMode, PerfReport, PhaseDriver,
 };
@@ -110,17 +110,16 @@ fn entry_from_report(name: &str, report: &PerfReport, throughput: Throughput) ->
     }
 }
 
-/// Measures one scenario under one engine, with machine-construction
-/// time folded into the throughput block's `setup` stat.
+/// Measures one scenario, with machine-construction time folded into
+/// the throughput block's `setup` stat.
 fn measure_scenario(
     s: &attribution::Scenario,
     driver: PhaseDriver,
-    engine: EngineMode,
     spec: ThroughputSpec,
     first: &mut Option<PerfReport>,
 ) -> Result<Throughput, String> {
     measure_split(spec, || {
-        let run = (s.run)(driver, engine);
+        let run = (s.run)(driver);
         let sample = RunSample {
             sim_cycles: run.report.total(),
             sim_ops: sim_ops(&run.report),
@@ -130,52 +129,28 @@ fn measure_scenario(
         first.get_or_insert(run.report);
         SplitSample { sample, setup_secs }
     })
-    .map_err(|e| format!("{} [{engine:?}]: {e}", s.name))
+    .map_err(|e| format!("{}: {e}", s.name))
 }
 
-fn run_micro(driver: PhaseDriver, engine: EngineMode, opts: &Opts) -> Result<BenchDoc, String> {
+fn run_micro(driver: PhaseDriver, opts: &Opts) -> Result<BenchDoc, String> {
     let mut doc = BenchDoc::new("micro");
     let scenarios = attribution::all()
         .iter()
         .filter(|s| name_matches(s.name, opts.filter.as_deref()));
     for s in scenarios {
         let mut first: Option<PerfReport> = None;
-        // The published throughput block measures the session engine;
-        // a second measurement under the other engine yields the
-        // event-core speedup extra and doubles as a differential check.
-        let main = measure_scenario(s, driver, engine, opts.spec, &mut first)?;
-        let other_engine = match engine {
-            EngineMode::Event => EngineMode::Cycle,
-            EngineMode::Cycle => EngineMode::Event,
-        };
-        let mut other_first = None;
-        let other = measure_scenario(s, driver, other_engine, opts.spec, &mut other_first)?;
-        if (main.checksum, main.sim_cycles) != (other.checksum, other.sim_cycles) {
-            return Err(format!(
-                "{}: engines diverged: {engine:?} (cycles={}, checksum={:#018x}) vs \
-                 {other_engine:?} (cycles={}, checksum={:#018x})",
-                s.name, main.sim_cycles, main.checksum, other.sim_cycles, other.checksum
-            ));
-        }
-        let (event_rate, cycle_rate) = match engine {
-            EngineMode::Event => (main.cycles_per_sec.mean, other.cycles_per_sec.mean),
-            EngineMode::Cycle => (other.cycles_per_sec.mean, main.cycles_per_sec.mean),
-        };
+        let throughput = measure_scenario(s, driver, opts.spec, &mut first)?;
         let report = first.expect("measure ran the scenario at least once");
         if opts.report {
             println!("=== {} ===\n{}", s.name, report.render());
         }
-        let mut e = entry_from_report(s.name, &report, main);
-        if cycle_rate > 0.0 {
-            e.extras
-                .insert("event_speedup".to_string(), event_rate / cycle_rate);
-        }
-        doc.entries.push(e);
+        doc.entries
+            .push(entry_from_report(s.name, &report, throughput));
     }
     Ok(doc)
 }
 
-fn run_em3d(driver: PhaseDriver, engine: EngineMode, opts: &Opts) -> Result<BenchDoc, String> {
+fn run_em3d(driver: PhaseDriver, opts: &Opts) -> Result<BenchDoc, String> {
     let mut doc = BenchDoc::new("em3d");
     let params = Em3dParams::tiny(30.0);
     for v in Version::all() {
@@ -185,7 +160,7 @@ fn run_em3d(driver: PhaseDriver, engine: EngineMode, opts: &Opts) -> Result<Benc
         // is no setup/simulation split to observe; `measure` leaves the
         // setup stat unset (the micro suite isolates setup).
         let throughput = measure(opts.spec, || {
-            let (result, report) = run_version_profiled_engine(driver, engine, 4, params, v);
+            let (result, report) = run_version_profiled(driver, 4, params, v);
             let sample = RunSample {
                 sim_cycles: report.total(),
                 sim_ops: sim_ops(&report),
@@ -264,8 +239,8 @@ fn scale_neighbor(m: &mut Machine, d: PhaseDriver) {
 
 /// Every PE atomically increments one counter on PE 0 — the hot-spot
 /// pattern that serializes through the target shell and the links into
-/// PE 0's sub-cube. Driven directly (not via a phase) so the
-/// per-sub-cube contention windows are exercised.
+/// PE 0's sub-cube. Driven directly (not via a phase), so the target
+/// shell sees every increment in issue order.
 fn scale_hotspot(m: &mut Machine, _d: PhaseDriver) {
     for pe in 1..m.nodes() {
         let _ = m.fetch_inc(pe, 0, 0);
@@ -343,24 +318,22 @@ fn scale_scenarios() -> [ScaleScenario; 4] {
     ]
 }
 
-fn scale_machine(pes: u32, engine: EngineMode, contended: bool) -> (Machine, f64) {
+fn scale_machine(pes: u32, contended: bool) -> (Machine, f64) {
     let t = std::time::Instant::now();
-    let mut cfg = if contended {
+    let cfg = if contended {
         MachineConfig::t3d_link_contended(pes)
     } else {
         MachineConfig::t3d(pes)
     };
-    cfg.engine = engine;
     let mut m = Machine::new(cfg);
     m.set_perf_mode(PerfMode::Counters);
     (m, t.elapsed().as_secs_f64())
 }
 
 /// The Figure-9-style scaling sweep: EM3D plus four micro scenarios
-/// over 8→1024 PEs, with the contention models off and on. Measures
-/// only the session engine (the CI matrix covers the other), and gates
-/// on [`check_setup_scaling`] before returning the document.
-fn run_scale(driver: PhaseDriver, engine: EngineMode, opts: &Opts) -> Result<BenchDoc, String> {
+/// over 8→1024 PEs, with the contention models off and on. Gates on
+/// [`check_setup_scaling`] before returning the document.
+fn run_scale(driver: PhaseDriver, opts: &Opts) -> Result<BenchDoc, String> {
     let mut doc = BenchDoc::new("scale");
     for contended in [false, true] {
         let suffix = if contended { ".cont" } else { "" };
@@ -370,7 +343,7 @@ fn run_scale(driver: PhaseDriver, engine: EngineMode, opts: &Opts) -> Result<Ben
                 let snap = SCALE_SNAP_TOTAL / u64::from(pes);
                 let mut first: Option<PerfReport> = None;
                 let throughput = measure_split(opts.spec, || {
-                    let (mut m, mut setup) = scale_machine(pes, engine, contended);
+                    let (mut m, mut setup) = scale_machine(pes, contended);
                     (s.run)(&mut m, driver);
                     let t = std::time::Instant::now();
                     let checksum = m.snapshot_region(0, snap).fnv64();
@@ -405,9 +378,15 @@ fn run_scale(driver: PhaseDriver, engine: EngineMode, opts: &Opts) -> Result<Ben
             let mut first: Option<(f64, PerfReport)> = None;
             let throughput = measure(opts.spec, || {
                 let (result, report) = if contended {
-                    run_version_profiled_contended(driver, engine, pes, params, Version::Bulk)
+                    run_version_profiled_contended(
+                        driver,
+                        EngineMode::Cycle,
+                        pes,
+                        params,
+                        Version::Bulk,
+                    )
                 } else {
-                    run_version_profiled_engine(driver, engine, pes, params, Version::Bulk)
+                    run_version_profiled(driver, pes, params, Version::Bulk)
                 };
                 let sample = RunSample {
                     sim_cycles: report.total(),
@@ -651,10 +630,9 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     let driver = PhaseDriver::from_env();
-    let engine = EngineMode::from_env();
     let mut docs = Vec::new();
     if matches!(cmd, "micro" | "all") {
-        match run_micro(driver, engine, &opts) {
+        match run_micro(driver, &opts) {
             Ok(doc) => docs.push(doc),
             Err(e) => {
                 eprintln!("DETERMINISM FAILURE [micro]: {e}");
@@ -663,7 +641,7 @@ fn main() -> ExitCode {
         }
     }
     if matches!(cmd, "em3d" | "all") {
-        match run_em3d(driver, engine, &opts) {
+        match run_em3d(driver, &opts) {
             Ok(doc) => docs.push(doc),
             Err(e) => {
                 eprintln!("DETERMINISM FAILURE [em3d]: {e}");
@@ -672,7 +650,7 @@ fn main() -> ExitCode {
         }
     }
     if cmd == "scale" {
-        match run_scale(driver, engine, &opts) {
+        match run_scale(driver, &opts) {
             Ok(doc) => docs.push(doc),
             Err(e) => {
                 eprintln!("FAILURE [scale]: {e}");

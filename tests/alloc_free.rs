@@ -10,7 +10,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use t3d_machine::{EngineMode, Machine, MachineConfig, PerfMode, PhaseDriver};
+use t3d_machine::{Machine, MachineConfig, PerfMode, PhaseDriver};
 use t3d_shell::{AnnexEntry, FuncCode};
 
 struct Counting;
@@ -79,10 +79,8 @@ fn steady(m: &mut Machine, mut op: impl FnMut(&mut Machine, u64)) -> u64 {
 /// An 8-PE machine with shell and link contention on. Annex register 1
 /// of PE 0 names PE 5 (three hops away on the 2×2×2 torus) with cached
 /// loads; register 2 names it with uncached loads and stores.
-fn machine(engine: EngineMode) -> Machine {
-    let mut cfg = MachineConfig::t3d_link_contended(8);
-    cfg.engine = engine;
-    let mut m = Machine::new(cfg);
+fn machine() -> Machine {
+    let mut m = Machine::new(MachineConfig::t3d_link_contended(8));
     m.set_perf_mode(PerfMode::Off);
     let cached = AnnexEntry {
         pe: 5,
@@ -106,47 +104,45 @@ fn sweep(i: u64) -> u64 {
 #[test]
 fn direct_api_ops_allocate_nothing_in_steady_state() {
     let mut failures = Vec::new();
-    for engine in [EngineMode::Cycle, EngineMode::Event] {
-        let mut m = machine(engine);
-        let cases: [(&str, Op); 8] = [
-            ("local load hit", |m, _| {
-                m.ld8(0, 0x100);
-            }),
-            ("local load miss", |m, i| {
-                m.ld8(0, sweep(i));
-            }),
-            ("local store", |m, i| m.st8(0, sweep(i), i)),
-            ("cached remote load", |m, i| {
-                let va = m.va(1, sweep(i));
-                m.ld8(0, va);
-            }),
-            ("uncached remote load", |m, i| {
-                let va = m.va(2, sweep(i));
-                m.ld8(0, va);
-            }),
-            ("remote stores, fenced every 8", |m, i| {
-                let va = m.va(2, sweep(i));
-                m.st8(0, va, i);
-                if i % 8 == 7 {
-                    m.memory_barrier(0);
-                    m.wait_write_acks(0);
-                }
-            }),
-            ("acked remote store", |m, i| {
-                let va = m.va(2, sweep(i));
-                m.st8(0, va, i);
+    let mut m = machine();
+    let cases: [(&str, Op); 8] = [
+        ("local load hit", |m, _| {
+            m.ld8(0, 0x100);
+        }),
+        ("local load miss", |m, i| {
+            m.ld8(0, sweep(i));
+        }),
+        ("local store", |m, i| m.st8(0, sweep(i), i)),
+        ("cached remote load", |m, i| {
+            let va = m.va(1, sweep(i));
+            m.ld8(0, va);
+        }),
+        ("uncached remote load", |m, i| {
+            let va = m.va(2, sweep(i));
+            m.ld8(0, va);
+        }),
+        ("remote stores, fenced every 8", |m, i| {
+            let va = m.va(2, sweep(i));
+            m.st8(0, va, i);
+            if i % 8 == 7 {
                 m.memory_barrier(0);
                 m.wait_write_acks(0);
-            }),
-            ("fetch_inc", |m, _| {
-                m.fetch_inc(0, 5, 0);
-            }),
-        ];
-        for (name, op) in cases {
-            let n = steady(&mut m, op);
-            if n > 0 {
-                failures.push(format!("{name} ({engine:?}): {n} allocations in {OPS} ops"));
             }
+        }),
+        ("acked remote store", |m, i| {
+            let va = m.va(2, sweep(i));
+            m.st8(0, va, i);
+            m.memory_barrier(0);
+            m.wait_write_acks(0);
+        }),
+        ("fetch_inc", |m, _| {
+            m.fetch_inc(0, 5, 0);
+        }),
+    ];
+    for (name, op) in cases {
+        let n = steady(&mut m, op);
+        if n > 0 {
+            failures.push(format!("{name}: {n} allocations in {OPS} ops"));
         }
     }
     assert!(failures.is_empty(), "{failures:#?}");

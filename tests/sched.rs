@@ -1,15 +1,14 @@
 //! Job-stream scheduler properties: the torus buddy allocator under an
 //! exhaustive workload, trace-generation byte-identity, and the
-//! cross-driver/cross-engine job-ledger oracle.
+//! cross-driver job-ledger oracle.
 //!
 //! The ledger test is the scheduler's analogue of the repository's
 //! determinism contract: the *entire multi-tenant run* — every job's
 //! dispatch time, partition placement, kernel result and completion
 //! time — must be bit-identical whether kernels execute under the
-//! sequential or sharded phase driver (`T3D_PAR`) and under the
-//! cycle-accurate or skip-to-next-event engine (`T3D_EVENT`).
+//! sequential or sharded phase driver (`T3D_PAR`).
 
-use t3d_machine::{EngineMode, PhaseDriver};
+use t3d_machine::PhaseDriver;
 use t3d_prng::Rng;
 use t3d_sched::{run_trace, ExecEnv, GenParams, KernelCache, PartitionAllocator, SimParams, Trace};
 use t3d_torus::SubCube;
@@ -139,12 +138,12 @@ fn generated_traces_are_byte_identical_per_seed() {
 }
 
 /// The scheduler-level determinism oracle: one short trace, scheduled
-/// under all four driver × engine combinations in one process, must
-/// produce the same job ledger bit for bit. This is what the CI
-/// `sched-smoke` matrix pins from the outside; here it runs without
-/// any environment variables involved.
+/// under both phase drivers in one process, must produce the same job
+/// ledger bit for bit. This is what the CI `sched-smoke` job pins from
+/// the outside; here it runs without any environment variables
+/// involved.
 #[test]
-fn job_ledger_is_identical_across_drivers_and_engines() {
+fn job_ledger_is_identical_across_drivers() {
     let trace = Trace::generate(GenParams {
         jobs: 8,
         mean_interarrival_cy: 20_000,
@@ -154,26 +153,24 @@ fn job_ledger_is_identical_across_drivers_and_engines() {
     });
     let mut ledgers = Vec::new();
     for driver in [PhaseDriver::Seq, PhaseDriver::Par(2)] {
-        for engine in [EngineMode::Cycle, EngineMode::Event] {
-            let params = SimParams {
-                machine: (2, 2, 1),
-                backfill: true,
-                env: ExecEnv::new(driver, engine),
-            };
-            // A fresh cache per combination: memoisation must not leak
-            // results across engines, or the comparison proves nothing.
-            let mut cache = KernelCache::new();
-            let run = run_trace(&trace, &params, &mut cache);
-            assert_eq!(run.outcomes.len(), trace.jobs.len());
-            ledgers.push((driver, engine, run.ledger_fnv));
-        }
+        let params = SimParams {
+            machine: (2, 2, 1),
+            backfill: true,
+            env: ExecEnv::new(driver),
+        };
+        // A fresh cache per driver: memoisation must not leak results
+        // across drivers, or the comparison proves nothing.
+        let mut cache = KernelCache::new();
+        let run = run_trace(&trace, &params, &mut cache);
+        assert_eq!(run.outcomes.len(), trace.jobs.len());
+        ledgers.push((driver, run.ledger_fnv));
     }
-    let reference = ledgers[0].2;
-    for (driver, engine, fnv) in &ledgers {
+    let reference = ledgers[0].1;
+    for (driver, fnv) in &ledgers {
         assert_eq!(
             *fnv, reference,
-            "{driver:?}/{engine:?} ledger diverged from {:?}/{:?}",
-            ledgers[0].0, ledgers[0].1
+            "{driver:?} ledger diverged from {:?}",
+            ledgers[0].0
         );
     }
 }
@@ -215,7 +212,7 @@ fn backfill_only_moves_jobs_earlier_here() {
     // small mix it should only help. Makespan must not regress.
     assert!(filled.makespan_cy <= strict.makespan_cy);
     assert!(
-        filled.metrics.wait.sum() <= strict.metrics.wait.sum(),
+        filled.metrics.wait.iter().sum::<u64>() <= strict.metrics.wait.iter().sum::<u64>(),
         "backfill increased total waiting"
     );
 }

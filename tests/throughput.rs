@@ -3,43 +3,36 @@
 //! repeated runs, and a corrupted run must fail the measurement instead
 //! of posting a rate — a fast-but-wrong engine never benchmarks well.
 
-use t3d_machine::{EngineMode, Machine, MachineConfig, PhaseDriver};
+use t3d_machine::{Machine, MachineConfig, PhaseDriver};
 use t3d_microbench::probes::attribution;
 use t3d_perf::{measure, RunSample, ThroughputSpec};
 
 /// Runs one scenario under `measure` and returns its throughput block.
-fn measured(name: &str, driver: PhaseDriver, engine: EngineMode) -> t3d_perf::Throughput {
+fn measured(name: &str, driver: PhaseDriver) -> t3d_perf::Throughput {
     let s = attribution::all()
         .iter()
         .find(|s| s.name == name)
         .unwrap_or_else(|| panic!("no scenario {name}"));
     measure(ThroughputSpec { warmup: 1, runs: 2 }, || {
-        let run = (s.run)(driver, engine);
+        let run = (s.run)(driver);
         RunSample {
             sim_cycles: run.report.total(),
             sim_ops: 0,
             checksum: run.checksum,
         }
     })
-    .unwrap_or_else(|e| panic!("{name} under {driver:?}/{engine:?}: {e}"))
+    .unwrap_or_else(|e| panic!("{name} under {driver:?}: {e}"))
 }
 
 #[test]
 fn checksums_are_identical_across_drivers_and_repeated_runs() {
     // `measure` itself enforces run-to-run identity (warmup included);
-    // across drivers and engines the whole throughput fingerprint must
-    // also agree.
+    // across drivers the whole throughput fingerprint must also agree.
     for name in ["phase.exchange", "splitc.getput", "sync.barrier"] {
-        let seq = measured(name, PhaseDriver::Seq, EngineMode::Cycle);
-        let par = measured(name, PhaseDriver::Par(4), EngineMode::Cycle);
-        let event = measured(name, PhaseDriver::Par(4), EngineMode::Event);
+        let seq = measured(name, PhaseDriver::Seq);
+        let par = measured(name, PhaseDriver::Par(4));
         assert_eq!(seq.checksum, par.checksum, "{name}: state diverged");
         assert_eq!(seq.sim_cycles, par.sim_cycles, "{name}: cycles diverged");
-        assert_eq!(seq.checksum, event.checksum, "{name}: engine diverged");
-        assert_eq!(
-            seq.sim_cycles, event.sim_cycles,
-            "{name}: engine cycles diverged"
-        );
     }
 }
 
@@ -47,18 +40,16 @@ fn checksums_are_identical_across_drivers_and_repeated_runs() {
 fn every_scenario_is_measurable_under_both_drivers() {
     for s in attribution::all() {
         for driver in [PhaseDriver::Seq, PhaseDriver::Par(4)] {
-            for engine in [EngineMode::Cycle, EngineMode::Event] {
-                let t = measure(ThroughputSpec { warmup: 0, runs: 2 }, || {
-                    let run = (s.run)(driver, engine);
-                    RunSample {
-                        sim_cycles: run.report.total(),
-                        sim_ops: 0,
-                        checksum: run.checksum,
-                    }
-                })
-                .unwrap_or_else(|e| panic!("{} under {driver:?}/{engine:?}: {e}", s.name));
-                assert!(t.cycles_per_sec.mean > 0.0, "{}: no rate", s.name);
-            }
+            let t = measure(ThroughputSpec { warmup: 0, runs: 2 }, || {
+                let run = (s.run)(driver);
+                RunSample {
+                    sim_cycles: run.report.total(),
+                    sim_ops: 0,
+                    checksum: run.checksum,
+                }
+            })
+            .unwrap_or_else(|e| panic!("{} under {driver:?}: {e}", s.name));
+            assert!(t.cycles_per_sec.mean > 0.0, "{}: no rate", s.name);
         }
     }
 }
